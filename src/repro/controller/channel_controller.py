@@ -49,6 +49,23 @@ from repro.dram.channel import Channel
 _NO_REQUESTS: tuple = ()
 
 
+def _row_remap(mechanism: CachingMechanism, channel: Channel):
+    """The FR-FCFS row hook of a mechanism that remaps rows.
+
+    A closure over the mechanism and the channel, not a bound method of
+    the controller: a controller holding its own bound method is a
+    reference cycle, which leaves every finished system (tag stores
+    included) to the cyclic garbage collector instead of freeing it
+    when its last reference goes.
+    """
+    effective_row = mechanism.effective_row
+
+    def row_of(request: MemoryRequest) -> int:
+        return effective_row(channel, request.decoded, request.flat_bank)
+
+    return row_of
+
+
 class ChannelController:
     """Request queues and scheduling for one memory channel."""
 
@@ -89,7 +106,8 @@ class ChannelController:
         #: Row-remap hook handed to the scheduler: None when the mechanism
         #: never redirects requests, so FR-FCFS reads the address row
         #: directly (see ``CachingMechanism.remaps_rows``).
-        self._row_of = self._effective_row if mechanism.remaps_rows else None
+        self._row_of = _row_remap(mechanism, channel) \
+            if mechanism.remaps_rows else None
         #: Direct-access mechanisms (no in-DRAM cache) are served straight
         #: through Channel.access (see CachingMechanism.direct_access).
         self._direct_access = mechanism.direct_access
@@ -419,10 +437,6 @@ class ChannelController:
                 tracer.request_serviced(request)
             completed.append(request)
         return completed
-
-    def _effective_row(self, request: MemoryRequest) -> int:
-        return self._mechanism.effective_row(self._channel, request.decoded,
-                                             request.flat_bank)
 
     def _service(self, request: MemoryRequest, now: int) -> int:
         """Service one picked request; returns the bank's next ready cycle.

@@ -52,11 +52,6 @@ class MemoryRequest:
         'served_fast',
         #: Unique, monotonically increasing id (used for FCFS tie-breaking).
         'request_id',
-        #: Event-ordering sequence number stamped by the turbo simulation
-        #: backend when the arrival event is scheduled (unset under the
-        #: reference backend, which carries the sequence in its event
-        #: tuples instead).
-        'event_seq',
     )
 
     def __init__(self, core_id: int, address: int, is_write: bool,

@@ -190,7 +190,7 @@ def measure_tracing_overhead(scale: ExperimentScale | None = None,
     mechanism hooks all fire.  ``off_cpu_s`` is the number the golden
     zero-overhead-when-off contract protects; ``overhead_ratio`` is the
     cost of turning tracing on (on the turbo backend this includes
-    falling back from the fused single-channel loop to the generic one).
+    falling back from the fused loop to the reference one).
     """
     from repro.sim.tracing import EventTracer
 
@@ -241,7 +241,7 @@ def resolve_backend_name(backend: str | None) -> str:
 
 
 def backend_build_info(backend: str | None) -> dict:
-    """Build-mode record (interpreted vs AOT-compiled) for bench reports."""
+    """Build-mode record (interpreted vs compiled) for bench reports."""
     from repro.sim.backend import backend_build_info as build_info
     return build_info(backend)
 
@@ -426,8 +426,7 @@ def format_paired_report(report: dict) -> str:
         lines.append(f"  plan cache: {cache.get('run_hits', 0)} hits, "
                      f"{cache.get('run_compiles', 0)} compiles this run "
                      f"(size {cache.get('size', 0)}/"
-                     f"{cache.get('capacity', 0)}, "
-                     f"enabled={cache.get('enabled')})")
+                     f"{cache.get('capacity', 0)})")
     return "\n".join(lines)
 
 

@@ -370,11 +370,6 @@ def _run_chunk(chunk: Sequence[tuple[int, SimJob, int, float]],
     return os.getpid(), done, None
 
 
-def _execute_job(job: SimJob) -> SimulationResult:
-    """Single-job worker entry point (kept for API compatibility)."""
-    return job.run()
-
-
 def resolve_jobs(jobs: int | None = None) -> int:
     """Resolve the worker count from an argument or ``REPRO_JOBS``."""
     if jobs is None:

@@ -8,9 +8,9 @@ with the repository:
 
 * ``"python"`` — the reference event loop in :mod:`repro.sim.simulator`
   (the default; unchanged behaviour).
-* ``"turbo"`` — the accelerated core in :mod:`repro.sim.turbo`:
-  stream-merged calendar event scheduling, precompiled flat timing tables,
-  and request freelists.  Bit-identical results, substantially faster.
+* ``"turbo"`` — the accelerated core in :mod:`repro.sim.turbo`: one
+  batch-stepped, fused event loop, precompiled flat timing tables, and
+  request freelists.  Bit-identical results, substantially faster.
 
 Selection precedence: an explicit ``SystemConfig.backend`` wins; otherwise
 the ``REPRO_SIM_BACKEND`` environment variable; otherwise
@@ -104,11 +104,12 @@ def resolve_backend(name: str | None = None) -> SimulationBackend:
 def backend_build_info(name: str | None = None) -> dict:
     """How the resolved backend's code executes: interpreted or compiled.
 
-    ``compiled`` is True when the turbo backend's modules were imported
-    from ahead-of-time compiled extensions (the optional ``[aot]`` build
-    — see ``setup.py`` and docs/performance.md); pure-Python imports
-    report False, as does the reference backend.  Bench reports record
-    this flag so pinned numbers are attributable to a build mode.
+    ``compiled`` is True when the turbo backend's module was imported
+    from a compiled extension module instead of its Python source; the
+    repository ships Python source only, so it reports False unless such
+    an extension was built and installed separately.  The reference
+    backend always reports False.  Bench reports record this flag so
+    pinned numbers are attributable to a build mode.
     """
     spec = resolve_backend(name)
     compiled = False
@@ -136,5 +137,5 @@ register_backend(
     description="reference event loop (repro.sim.simulator)")
 register_backend(
     "turbo", _turbo_factory,
-    description="batch-stepped calendar event core with precompiled "
+    description="batch-stepped, fused event core with precompiled "
                 "timing tables (repro.sim.turbo); bit-identical, faster")

@@ -31,8 +31,8 @@ is enabled by *installing* a tracer on the assembled system
 (``System(..., tracer=...)``); with no tracer installed every hook is a
 single ``tracer is not None`` comparison against an attribute that is
 ``None``, hoisted out of the per-request loops where possible, and the
-turbo backend's fully-fused single-channel loop is not touched at all
-(traced turbo runs take the generic loop, which is bit-identical by the
+turbo backend's fused loop is not touched at all (traced turbo runs
+take the reference ``Simulator`` loop, which is bit-identical by the
 backend parity contract).  Tracing never changes simulated results —
 hooks are read-only observers — so results are bit-identical with
 tracing on or off (``tests/test_backend.py`` asserts both directions).

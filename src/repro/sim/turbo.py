@@ -1,100 +1,69 @@
-"""Turbo simulation backend: batch-stepped streams, one fused hot loop.
+"""Turbo simulation backend: one batch-stepped, fused event loop.
 
 :class:`TurboSimulator` is a drop-in replacement for
 :class:`~repro.sim.simulator.Simulator` (same constructor, ``run()``,
 ``now``, ``processed_events``) that produces **bit-identical** results —
 same event order, same timing, same counters, same telemetry — faster.
-It attacks the three costs that dominate the reference loop:
+One event loop, :meth:`TurboSimulator._run_multi`, serves every number
+of cores and channels.  Its event heap holds the reference loop's
+``(cycle, seq, kind, payload)`` tuples, with ``seq`` advancing at
+exactly the reference loop's push points, so it processes the same
+events in the same order — stale wake events included.  It attacks
+three costs of the reference loop:
 
-1. **Heap traffic.**  For single-channel systems (every single-core
-   bench job) the global ``(cycle, seq, kind, payload)`` heap is
-   replaced by a merge over *naturally ordered event streams*: one
-   arrival deque per core (a core's issue cycles are monotonic, so the
-   fused issue loop batch-steps the core to its next stall and the
-   whole slack window of arrivals lands in a pre-sorted bucket), one
-   completion-run deque (a channel's completion cycles are monotonic
-   because every data burst chains on the shared bus), and a tiny list
-   of controller wake-ups (the only stream without an ordering
-   invariant; it holds at most a handful of entries, so a linear
-   min-scan beats a heap).  A plain integer sequence counter advances
-   at exactly the reference loop's push points, so tie-breaks — and
-   therefore every simulated outcome — are reproduced exactly,
-   including the reference loop's *stale* wake events (superseded wake
-   entries are kept and processed, because popping one still clears the
-   scheduled-wake latch and re-arms the next wake-up).
+1. **Per-record core simulation.**  The cache hierarchy is cycle-free,
+   so each core's trace is compiled once into prefix arrays
+   (:func:`_compile_core_plan`, memoized by the process-wide plan
+   cache) and a core advances to its next memory event with a
+   ``bisect`` instead of simulating every record.
 
-2. **Timing math and interpreter overhead.**  The single-channel loop
-   is monolithic: the core's issue loop (``TraceCore.run_requests``),
-   the controller's queueing and scheduling
-   (``ChannelController.enqueue`` / ``wake`` / ``_try_schedule_bank``),
-   and the whole direct-access timing chain (``Channel.access`` →
-   ``Bank.access`` → ``Bank._activate``) are inlined into one function
-   body.  Everything hot is a true local (``LOAD_FAST`` — no closure
-   cells, no per-service calls), and the timing constants come from
-   precompiled flat tables (:mod:`repro.sim.turbo_tables`) indexed by
-   direction and speed class instead of chased through attributes.
-   KEEP the inlined blocks IN SYNC with their sources (each block names
-   its source); the golden fixtures and the cross-backend parity suite
-   (``tests/test_backend.py``) enforce the equivalence.  For the
-   in-DRAM-cache mechanisms (FIGCache, LISA-VILLA) the loop fuses the
-   tag probe *and* the miss's row access, then tail-calls the shared
-   insertion helpers (``FigCacheMechanism._insert_segment`` /
-   ``LisaVillaMechanism._insert_row``) so the relocation logic itself
-   stays in one place; only the cold service shapes (dirty-hit
-   writebacks and friends) still go through ``service``.
+2. **Calls and attribute chasing.**  Address decode, the controller's
+   enqueue, wake and FR-FCFS scheduling, the DRAM timing chain
+   (``Channel.access`` → ``Bank.access`` → ``Bank._activate``, with
+   constants from the flat tables of :mod:`repro.sim.turbo_tables`),
+   the FIGCache / LISA-VILLA tag probe, and the core's completion
+   notify are inlined into the loop.  A miss's insertion tail calls the
+   mechanism's own ``_insert_segment`` / ``_insert_row``, so relocation
+   policy stays in one place.  KEEP each inlined block IN SYNC with the
+   source it names; the golden fixtures and the cross-backend parity
+   suite (``tests/test_backend.py``) enforce the equivalence.  Each
+   channel's and each core's hoisted handles form one tuple, unpacked
+   into locals only when the channel or core being served changes —
+   once per run for a single-channel, single-core system.
 
 3. **Allocation.**  Completed :class:`MemoryRequest` records are pooled
-   in a freelist and reused for future arrivals.  Reused requests draw
+   in a freelist and reused for later arrivals.  A reused request draws
    a fresh ``request_id`` from the same global counter, in the same
-   order, so FCFS tie-breaking is unchanged.  The single-channel loop
-   builds requests directly inside the fused issue loop (no
-   ``IssuedRequest`` tuples, no intermediate list) and its arrival
-   streams carry the pooled request itself — cycle in
-   ``arrival_cycle``, sequence number in ``event_seq`` — so the hottest
-   event kind allocates nothing at steady state.
+   order, so FCFS tie-breaking is unchanged.
 
-Multi-channel systems run a replica of the reference heap loop with the
-freelist pooling, inline address decode, and batch-stepped cores
-(:func:`_compile_core_plan` + ``_step_core``: the cycle-free cache
-hierarchy lets each core's hit/miss/writeback sequence be precompiled
-into prefix arrays, so a core advances to its next memory event with a
-``bisect`` instead of per-record simulation).  The stream merge itself
-is not used there — a merge pays one head comparison per stream per
-event, which loses to a C ``heappop`` once cores and channels multiply
-the stream count.
+Every other system shape runs the reference :class:`Simulator` on the
+same cores and controller (:meth:`TurboSimulator._run_reference`): a
+tracer, a ``ChannelController`` subclass, channels that disagree on
+timing tables, drain watermarks or mechanism, and any mechanism besides
+direct access, FIGCache and LISA-VILLA.  The reference loop drives
+those through their real methods, and is bit-identical by contract.
 
-State synchronisation: the single-channel loop keeps the controller's
-hot scalar counters (queue occupancies, drain mode, completion counts)
-in locals and writes them back before any outside observer can look —
-at telemetry epoch boundaries, on safety-limit errors, and at loop exit
-(before the end-of-run write drain).  Everything else (queues, wake-up
-structures, bank/rank/core state, latency histograms, DRAM counters) is
-mutated in place through the same objects the reference loop uses.
+All state is mutated in place through the objects the reference loop
+uses, so outside observers (telemetry epochs, the end-of-run write
+drain) need no synchronisation points.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import OrderedDict, deque
 from heapq import heappop, heappush
 
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemoryRequest, _request_ids
 from repro.cpu.core import TraceCore, _OutstandingMiss
-from repro.sim.simulator import SimulatorLimits, interpreter_run_guard
+from repro.sim.simulator import (Simulator, SimulatorLimits,
+                                 interpreter_run_guard)
 from repro.sim.turbo_tables import tables_for_channel
 
 _CORE_RUN = 0
 _REQUEST_ARRIVAL = 1
 _CONTROLLER_WAKE = 2
-
-#: Calendar-queue bucket width (cycles) for the fused multi-channel
-#: loop, as a shift: events are binned by ``cycle >> _BUCKET_SHIFT``.
-#: 256 cycles comfortably covers a DRAM access round-trip, so most
-#: same-window completions land in the already-sorted current bucket
-#: (one ``insort`` past the drain pointer) instead of a future one.
-_BUCKET_SHIFT = 8
 
 
 def _compile_core_plan(core: TraceCore) -> tuple:
@@ -106,8 +75,8 @@ def _compile_core_plan(core: TraceCore) -> tuple:
     executes its trace strictly in order, each record exactly once.  So
     the whole three-level simulation runs here in one tight pass (the
     same inline blocks as :meth:`CacheHierarchy.access` — KEEP IN SYNC),
-    and :func:`_step_core` later advances the core with prefix-sum
-    arithmetic instead of per-record work:
+    and the event loop's core-run handler advances the core with
+    prefix-sum arithmetic instead of per-record work:
 
     * ``cost_prefix[i]``  — issue-bandwidth cycles + exposed cache
       latency of records [0, i): a hit run between two memory-touching
@@ -307,9 +276,6 @@ def _compile_core_plan(core: TraceCore) -> tuple:
 # whose sets no later code reads.
 # ----------------------------------------------------------------------
 
-#: Environment opt-out: set to ``0`` to compile every plan from scratch.
-PLAN_CACHE_ENV = "REPRO_TURBO_PLAN_CACHE"
-
 #: LRU bound on cached plans.  Each entry holds the prefix arrays for
 #: one trace (a few hundred KiB at bench scale), so the bound caps the
 #: cache at tens of MiB while still covering a whole workload suite.
@@ -318,11 +284,6 @@ PLAN_CACHE_CAPACITY = 64
 _plan_cache: OrderedDict = OrderedDict()
 _plan_cache_counters = {"hits": 0, "misses": 0, "evictions": 0,
                         "compiles": 0, "bypasses": 0}
-
-
-def plan_cache_enabled() -> bool:
-    """Whether the compiled-plan cache is active (see PLAN_CACHE_ENV)."""
-    return os.environ.get(PLAN_CACHE_ENV, "1") != "0"
 
 
 def plan_cache_stats() -> dict:
@@ -334,7 +295,6 @@ def plan_cache_stats() -> dict:
     cumulative; diff two snapshots to scope them to one run.
     """
     return {
-        "enabled": plan_cache_enabled(),
         "size": len(_plan_cache),
         "capacity": PLAN_CACHE_CAPACITY,
         **_plan_cache_counters,
@@ -376,11 +336,11 @@ def _plan_for_core(core: TraceCore) -> tuple:
     ``CoreStats`` flush bases from the core's current stats.  Only a
     fresh core is eligible — a partially-run core (never the case for
     the simulators here, which compile once at run start) bypasses the
-    cache, as does the :data:`PLAN_CACHE_ENV` opt-out.
+    cache.
     """
     hier = core.hierarchy
     if core._next_record != 0 or core._issued_instructions != 0 \
-            or hier.accesses != 0 or not plan_cache_enabled():
+            or hier.accesses != 0:
         _plan_cache_counters["bypasses"] += 1
         _plan_cache_counters["compiles"] += 1
         return _compile_core_plan(core)
@@ -434,122 +394,6 @@ def _plan_for_core(core: TraceCore) -> tuple:
     return plan
 
 
-def _step_core(core: TraceCore, plan: tuple, now: int) -> list:
-    """Batch-stepped replacement for :meth:`TraceCore.run_requests`.
-
-    Advances ``core`` through its precompiled plan (KEEP the stall and
-    bookkeeping semantics IN SYNC with ``run_requests``): the loop runs
-    once per memory-touching record instead of once per trace record,
-    with cache-hit runs applied as prefix-sum differences and window
-    stalls located by one bisect.  State round-trips through the core's
-    attributes so :meth:`TraceCore.notify_completion` (and any outside
-    reader) keeps working unchanged between calls.  Returns the issued
-    requests as ``(issue_cycle, address, is_write)`` tuples, exactly
-    like the reference's ``IssuedRequest`` entries unpack.
-    """
-    requests: list = []
-    if core._finished:
-        return requests
-    (cost_prefix, instr_prefix, mem_idx, mem_events,
-     stats_instr_base, stats_mem_base) = plan
-    trace_length = len(cost_prefix) - 1
-    trace_n1 = trace_length + 1
-    next_record = core._next_record
-    core_cycle = core._core_cycle
-    if now > core_cycle:
-        core_cycle = now
-    outstanding = core._outstanding
-    outstanding_append = outstanding.append
-    mshr_entries = core._mshr_entries
-    mshr_capacity = core._mshr_capacity
-    mshr_get = mshr_entries.get
-    mshr_shift = core._mshr_shift
-    block_mask = core._block_mask
-    mshrs = core.mshrs
-    window_size = core._window_size
-    run_stats = core.stats
-    requests_append = requests.append
-    n_mem_events = len(mem_idx)
-    mem_ptr = bisect_left(mem_idx, next_record)
-    new_writebacks = 0
-    new_miss_loads = 0
-    new_miss_stores = 0
-    while next_record < trace_length:
-        if len(mshr_entries) >= mshr_capacity:
-            break
-        if outstanding:
-            oldest = outstanding[0]
-            if oldest.blocks_window:
-                window_limit = oldest.instruction_position + window_size
-                if instr_prefix[next_record] >= window_limit:
-                    break
-                stop = bisect_left(instr_prefix, window_limit,
-                                   next_record + 1)
-            else:
-                stop = trace_n1
-        else:
-            stop = trace_n1
-        ev = mem_idx[mem_ptr] if mem_ptr < n_mem_events else trace_length
-        if ev < stop and ev < trace_length:
-            # Hit run up to (and including) the memory record — its
-            # issue cost and exposed cache latency are in the prefix.
-            core_cycle += cost_prefix[ev + 1] - cost_prefix[next_record]
-            next_record = ev + 1
-            address, is_write, needs_memory, wbs = mem_events[mem_ptr]
-            mem_ptr += 1
-            for writeback_address in wbs:
-                new_writebacks += 1
-                requests_append((core_cycle, writeback_address, True))
-            if not needs_memory:
-                continue
-            # Inline MSHRFile.allocate: the loop head guarantees a free
-            # entry.
-            block = address >> mshr_shift
-            merged_count = mshr_get(block)
-            if merged_count is None:
-                mshr_entries[block] = 1
-                mshrs.allocations += 1
-                new_entry = True
-            else:
-                mshr_entries[block] = merged_count + 1
-                mshrs.merges += 1
-                new_entry = False
-            if is_write:
-                new_miss_stores += 1
-            else:
-                new_miss_loads += 1
-            if new_entry:
-                requests_append((core_cycle, address, False))
-                outstanding_append(_OutstandingMiss(
-                    address, instr_prefix[next_record], not is_write,
-                    address & block_mask))
-            elif not is_write:
-                # The miss merged into an existing MSHR; the load still
-                # blocks the window on the earlier request's completion.
-                outstanding_append(_OutstandingMiss(
-                    address, instr_prefix[next_record], True,
-                    address & block_mask))
-            continue
-        # No executable memory record: pure hit run to the window-stall
-        # point or the end of the trace.
-        stop_record = stop if stop < trace_length else trace_length
-        core_cycle += cost_prefix[stop_record] - cost_prefix[next_record]
-        next_record = stop_record
-        break
-    core._next_record = next_record
-    core._core_cycle = core_cycle
-    issued_instructions = instr_prefix[next_record]
-    core._issued_instructions = issued_instructions
-    run_stats.instructions = stats_instr_base + issued_instructions
-    run_stats.memory_instructions = stats_mem_base + next_record
-    run_stats.writebacks += new_writebacks
-    run_stats.llc_miss_loads += new_miss_loads
-    run_stats.llc_miss_stores += new_miss_stores
-    if next_record >= trace_length and not outstanding:
-        core._retire()
-    return requests
-
-
 class TurboSimulator:
     """Accelerated event-driven co-simulation (bit-identical results)."""
 
@@ -576,17 +420,28 @@ class TurboSimulator:
     def run(self) -> int:
         """Run until every core finishes its trace; returns the final cycle.
 
-        The fully-fused single-channel loop inlines the controller service
-        path the event tracer hooks into, so traced runs take the generic
-        loop instead — bit-identical by the backend parity contract, and
-        the fused path stays free of tracing checks.
+        Every system the fused loop replicates runs :meth:`_run_multi`;
+        any other shape (a tracer, a controller subclass, channels that
+        disagree on timing or mechanism) runs the reference loop through
+        :meth:`_run_reference`.
         """
         with interpreter_run_guard():
-            if len(self._controller.channel_controllers) == 1 \
-                    and len(self._cores) == 1 \
-                    and self._controller.channel_controllers[0].tracer is None:
-                return self._run_single()
             return self._run_multi()
+
+    def _run_reference(self) -> int:
+        """Run the reference :class:`Simulator` on the same system.
+
+        The fallback for every shape the fused loop does not replicate:
+        the reference loop drives tracers and controller subclasses
+        through their real methods and is bit-identical by contract.
+        """
+        simulator = Simulator(self._cores, self._controller, self._limits,
+                              telemetry=self._telemetry)
+        try:
+            return simulator.run()
+        finally:
+            self._now = simulator.now
+            self.processed_events = simulator.processed_events
 
     # ------------------------------------------------------------------
     # Shared tail: write drain and telemetry finalisation.
@@ -615,1375 +470,15 @@ class TurboSimulator:
             f"({self.processed_events} processed)")
 
     # ------------------------------------------------------------------
-    # Fused single-channel loop.
-    # ------------------------------------------------------------------
-    def _run_single(self) -> int:
-        from repro.baselines.lisa_villa import LISAVillaMechanism
-        from repro.core.figcache import FIGCache
-        from repro.dram.address import DecodedAddress
-
-        controller = self._controller
-        cc = controller.channel_controllers[0]
-        channel = cc.channel
-        banks = channel._banks
-        rank_of = channel._rank_of
-        apply_refresh = channel._apply_refresh
-        # Refresh enablement is uniform across a channel's ranks (one
-        # constructor flag; see Channel.__init__).
-        refresh_on = rank_of[0].refresh_enabled if rank_of else False
-        counters = channel.counters
-        track_rows = counters.track_row_activations
-        # DRAM counter deltas live in locals and are flushed at every
-        # observation point (telemetry epochs, safety-limit errors, loop
-        # exit).  External increments — refresh, the mechanism's miss
-        # path, the end-of-run drain — keep mutating the attributes
-        # directly; the deltas compose with them because nothing reads
-        # the counters between flushes.
-        c_row_hits = 0
-        c_row_misses = 0
-        c_row_conflicts = 0
-        c_precharges = 0
-        c_activates = 0
-        c_fast_activates = 0
-        c_reads = 0
-        c_fast_reads = 0
-        c_writes = 0
-        c_fast_writes = 0
-
-        tables = tables_for_channel(channel)
-        col_table = tables.col
-        act_table = tables.act
-        trp_slow, trp_fast = tables.trp
-        trrd = tables.trrd
-        tfaw = tables.tfaw
-        col_pacing = tables.col_pacing
-        tccd_l = tables.tccd_l
-        tccd_s = tables.tccd_s
-        act_bg_pacing = tables.act_bg_pacing
-        trrd_l = tables.trrd_l
-        all_fast = tables.all_fast
-        regular_rows = tables.regular_rows
-
-        # Controller internals, hoisted (mutated in place; the scalar
-        # counters live in true locals and are synced back at every
-        # observation point).
-        reads_by_bank = cc._reads_by_bank
-        writes_by_bank = cc._writes_by_bank
-        reads_get = reads_by_bank.get
-        writes_get = writes_by_bank.get
-        wakeup_heap, wakeup_cycle = cc.wakeup_view()
-        wakeup_get = wakeup_cycle.get
-        read_latencies = cc.read_latencies
-        write_latencies = cc.write_latencies
-        read_lat_get = read_latencies.get
-        write_lat_get = write_latencies.get
-        row_of = cc._row_of
-        direct_access = cc._direct_access
-        mechanism = cc.mechanism
-        mech_service = mechanism.service
-
-        # Mechanism specialisation: the FIGCache and LISA-VILLA *hit*
-        # paths (tag probe, benefit/recency/dirty bookkeeping, target-row
-        # redirection) are inlined below.  Misses are fused too: the
-        # access itself is the plain timing block on the decoded row
-        # (exactly ``Channel.access``), and the insertion tail — the
-        # only mutation the miss path owns — runs afterwards through the
-        # shared ``_insert_segment`` / ``_insert_row`` helpers, so the
-        # relocation and replacement policies stay in one place.
-        # ``scan_kind`` picks the inline ``effective_row`` used by the
-        # FR-FCFS first-ready scan; ``service_kind`` picks the fused
-        # service resolution.  Unknown mechanism subclasses take the
-        # generic call paths (kind 3).  KEEP the inlined blocks IN SYNC
-        # with FIGCache.effective_row / FIGCache.service and
-        # LISAVillaMechanism.effective_row / LISAVillaMechanism.service.
-        fig_lookup = fig_entries = fig_tags = fig_row_ids = None
-        fig_stats = lisa_stats = None
-        fig_bank_caches = fig_may_cache = fig_insert = None
-        lisa_bank_state = lisa_insert = None
-        seg_blocks = segments_per_row = fig_benefit_max = 0
-        lisa_banks_get = None
-        lisa_benefit_max = lisa_fast_base = 0
-        if direct_access:
-            service_kind = 0
-        elif type(mechanism) is FIGCache:
-            service_kind = 1
-            fig_stats = mechanism.stats
-            seg_blocks = mechanism._segment_blocks
-            bank_caches = [mechanism._bank_cache(index)
-                           for index in range(len(banks))]
-            fig_lookup = [cache.tags._lookup for cache in bank_caches]
-            fig_entries = [cache.tags._entries for cache in bank_caches]
-            fig_tags = [cache.tags for cache in bank_caches]
-            fig_row_ids = [cache.cache_row_ids for cache in bank_caches]
-            segments_per_row = bank_caches[0].tags._segments_per_row
-            fig_benefit_max = bank_caches[0].tags._benefit_max
-            fig_bank_caches = bank_caches
-            fig_may_cache = mechanism._may_cache
-            fig_insert = mechanism._insert_segment
-        elif type(mechanism) is LISAVillaMechanism:
-            service_kind = 2
-            lisa_stats = mechanism.stats
-            lisa_banks_get = mechanism._banks.get
-            lisa_benefit_max = mechanism._benefit_max
-            lisa_fast_base = mechanism._fast_row_base
-            lisa_bank_state = mechanism._bank_state
-            lisa_insert = mechanism._insert_row
-        else:
-            service_kind = 3
-        if row_of is None:
-            scan_kind = 0
-        elif service_kind in (1, 2):
-            scan_kind = service_kind
-        else:
-            scan_kind = 3
-
-        # Address decode, inlined for route-cache misses (most bench
-        # traces touch each block a handful of times, so decodes are a
-        # sizeable share of arrivals).  KEEP IN SYNC with
-        # AddressMapper.decode / AddressMapper.flat_bank; the dispatch
-        # guarantees a single channel, so the channel field is zero.
-        mapper = controller._device.mapper
-        offset_bits = mapper._offset_bits
-        column_bits = mapper._column_bits
-        column_mask = (1 << column_bits) - 1
-        bank_bits = mapper._bank_bits
-        bank_mask = (1 << bank_bits) - 1
-        bankgroup_bits = mapper._bankgroup_bits
-        bankgroup_mask = (1 << bankgroup_bits) - 1
-        rank_bits = mapper._rank_bits
-        rank_mask = (1 << rank_bits) - 1
-        rows_per_bank = mapper._rows
-        banks_per_rank = mapper._banks_per_rank
-        banks_per_bankgroup = mapper._banks_per_bankgroup
-        route_cache = controller._route_cache
-        decoded_address = DecodedAddress
-
-        drain_high = cc._drain_high
-        drain_low = cc._drain_low
-        read_count = cc._read_count
-        write_count = cc._write_count
-        drain_mode = cc._drain_mode
-        completed_reads = cc.completed_reads
-        completed_writes = cc.completed_writes
-        route_cache_get = route_cache.get
-
-        max_cycles = self._limits.max_cycles
-        max_events = self._limits.max_events
-        telemetry = self._telemetry
-        epoch_end = telemetry.next_epoch if telemetry is not None \
-            else max_cycles + 1
-
-        request_ids = _request_ids
-        freelist: list[MemoryRequest] = []
-        freelist_pop = freelist.pop
-        freelist_append = freelist.append
-
-        # The single core's state lives in true locals for the whole run
-        # (KEEP IN SYNC with TraceCore.run_requests /
-        # TraceCore.notify_completion / TraceCore._retire): the batch
-        # issue loop and the inlined completion notification read and
-        # write them directly, and the scalars are published back to the
-        # core at every outside observation point.  ``run_stats`` is the
-        # core's live CoreStats — telemetry sampling reads it between
-        # events, when the per-batch accumulators are always flushed.
-        core = self._cores[0]
-        (trace, trace_length, mshr_entries, mshr_capacity, outstanding,
-         window_size, _issue_width, _hierarchy_access, mshrs, mshr_shift,
-         run_stats) = core._run_hot
-        core_id = core.core_id
-        block_mask = core._block_mask
-        mshr_get = mshr_entries.get
-        outstanding_append = outstanding.append
-        next_record = core._next_record
-        core_cycle = core._core_cycle
-        issued_instructions = core._issued_instructions
-        finished = core._finished
-
-        # --------------------------------------------------------------
-        # Precompile the batch-step plan for the single core (see
-        # _compile_core_plan): the cache hierarchy is cycle-free, so its
-        # whole three-level simulation runs up front and the core-run
-        # handler below advances the core with prefix-sum arithmetic —
-        # one loop iteration per memory-touching record, not per trace
-        # record.
-        (cost_prefix, instr_prefix, mem_idx, mem_events,
-         stats_instr_base, stats_mem_base) = _plan_for_core(core)
-        trace_n1 = trace_length + 1
-        n_mem_events = len(mem_idx)
-        mem_ptr = 0
-        stat_writebacks = run_stats.writebacks
-        stat_miss_loads = run_stats.llc_miss_loads
-        stat_miss_stores = run_stats.llc_miss_stores
-
-        # Event streams.  ``seq`` advances at exactly the reference
-        # loop's push points so (cycle, seq) ordering is reproduced.
-        seq = 0
-        runs: deque = deque()
-        runs_append = runs.append
-        runs_popleft = runs.popleft
-        runs_append((0, seq))
-        seq += 1
-        arrivals: deque = deque()
-        arrivals_append = arrivals.append
-        arrivals_popleft = arrivals.popleft
-        wakes: list[tuple[int, int]] = []
-        wakes_append = wakes.append
-        scheduled_wake: int | None = None
-        processed = self.processed_events
-        cycle = 0
-
-        while True:
-            # ----------------------------------------------------------
-            # Pop the lexicographically smallest (cycle, seq) stream head.
-            # ----------------------------------------------------------
-            if runs:
-                head = runs[0]
-                best_cycle = head[0]
-                best_seq = head[1]
-                best_kind = _CORE_RUN
-            else:
-                best_kind = -1
-                best_cycle = 0
-                best_seq = 0
-            if arrivals:
-                req = arrivals[0]
-                req_cycle = req.arrival_cycle
-                if best_kind < 0 or req_cycle < best_cycle \
-                        or (req_cycle == best_cycle
-                            and req.event_seq < best_seq):
-                    best_cycle = req_cycle
-                    best_seq = req.event_seq
-                    best_kind = _REQUEST_ARRIVAL
-            if wakes:
-                wake_index = 0
-                wake_best = wakes[0]
-                for i in range(1, len(wakes)):
-                    if wakes[i] < wake_best:
-                        wake_best = wakes[i]
-                        wake_index = i
-                wake_cycle, wake_seq = wake_best
-                if best_kind < 0 or wake_cycle < best_cycle \
-                        or (wake_cycle == best_cycle
-                            and wake_seq < best_seq):
-                    best_cycle = wake_cycle
-                    best_seq = wake_seq
-                    best_kind = _CONTROLLER_WAKE
-            if best_kind < 0:
-                break
-            cycle = best_cycle
-            if cycle > max_cycles or processed >= max_events:
-                counters.row_hits += c_row_hits
-                counters.row_misses += c_row_misses
-                counters.row_conflicts += c_row_conflicts
-                counters.precharges += c_precharges
-                counters.activates += c_activates
-                counters.fast_activates += c_fast_activates
-                counters.reads += c_reads
-                counters.fast_reads += c_fast_reads
-                counters.writes += c_writes
-                counters.fast_writes += c_fast_writes
-                c_row_hits = c_row_misses = c_row_conflicts = 0
-                c_precharges = c_activates = c_fast_activates = 0
-                c_reads = c_fast_reads = c_writes = c_fast_writes = 0
-                cc._read_count = read_count
-                cc._write_count = write_count
-                cc._drain_mode = drain_mode
-                cc.completed_reads = completed_reads
-                cc.completed_writes = completed_writes
-                core._next_record = next_record
-                core._core_cycle = core_cycle
-                core._issued_instructions = issued_instructions
-                core._finished = finished
-                self._now = cycle
-                self.processed_events = processed
-                self._raise_limit(cycle)
-            if cycle >= epoch_end:
-                # The sampler reads the controller's counters: publish
-                # the locals before letting it observe.
-                counters.row_hits += c_row_hits
-                counters.row_misses += c_row_misses
-                counters.row_conflicts += c_row_conflicts
-                counters.precharges += c_precharges
-                counters.activates += c_activates
-                counters.fast_activates += c_fast_activates
-                counters.reads += c_reads
-                counters.fast_reads += c_fast_reads
-                counters.writes += c_writes
-                counters.fast_writes += c_fast_writes
-                c_row_hits = c_row_misses = c_row_conflicts = 0
-                c_precharges = c_activates = c_fast_activates = 0
-                c_reads = c_fast_reads = c_writes = c_fast_writes = 0
-                cc._read_count = read_count
-                cc._write_count = write_count
-                cc._drain_mode = drain_mode
-                cc.completed_reads = completed_reads
-                cc.completed_writes = completed_writes
-                epoch_end = telemetry.advance(cycle)
-            processed += 1
-
-            #: Banks the shared scheduling block should try to issue on,
-            #: and the requests completed by this event.
-            due_banks = None
-            completed = None
-
-            if best_kind == _REQUEST_ARRIVAL:
-                # Inline MemoryController.enqueue (route probe + decode)
-                # + ChannelController.enqueue (KEEP IN SYNC).
-                request = arrivals_popleft()
-                address = request.address
-                route_entry = route_cache_get(address)
-                if route_entry is None:
-                    bits = address >> offset_bits
-                    column = bits & column_mask
-                    bits >>= column_bits
-                    bank_index = bits & bank_mask
-                    bits >>= bank_bits
-                    bankgroup = bits & bankgroup_mask
-                    bits >>= bankgroup_bits
-                    rank_index = (bits & rank_mask) if rank_bits else 0
-                    bits >>= rank_bits
-                    decoded = decoded_address(0, rank_index, bankgroup,
-                                              bank_index,
-                                              bits % rows_per_bank, column)
-                    flat_bank = (rank_index * banks_per_rank
-                                 + bankgroup * banks_per_bankgroup
-                                 + bank_index)
-                    route_cache[address] = (decoded, flat_bank, cc)
-                    request.decoded = decoded
-                    request.flat_bank = flat_bank
-                else:
-                    request.decoded = route_entry[0]
-                    flat_bank = request.flat_bank = route_entry[1]
-                handled = False
-                if request.is_write:
-                    write_count += 1
-                    if not drain_mode and write_count >= drain_high:
-                        drain_mode = True
-                    index = writes_by_bank
-                else:
-                    index = reads_by_bank
-                    # Enqueue fast path: a sole read to a free bank is
-                    # picked unconditionally — service it immediately.
-                    if flat_bank not in reads_by_bank \
-                            and flat_bank not in writes_by_bank:
-                        bank = banks[flat_bank]
-                        busy_until = bank._busy_until
-                        nca = bank._next_col_allowed
-                        ready_at = busy_until if busy_until > nca else nca
-                        if ready_at <= cycle:
-                            # SERVICE copy A (read fast path) — KEEP IN
-                            # SYNC with copy B in the scheduling block
-                            # below, with Channel.access / Bank.access /
-                            # Bank._activate, with the FIGCache and
-                            # LISA-VILLA hit paths, and with the
-                            # completion bookkeeping of
-                            # _try_schedule_bank.  Resolve the target
-                            # row first: direct access serves the
-                            # decoded row; an in-DRAM cache hit runs its
-                            # tag bookkeeping inline and redirects to
-                            # the cache row (or the still-open source
-                            # row); misses and unknown mechanisms take
-                            # the generic service call.
-                            decoded = request.decoded
-                            insert_kind = 0
-                            if service_kind == 0:
-                                row = decoded.row
-                                cache_hit = None
-                                fused = True
-                            elif service_kind == 1:
-                                src_row = decoded.row
-                                segment = (decoded.column_block
-                                           // seg_blocks)
-                                slot = fig_lookup[flat_bank].get(
-                                    (src_row, segment))
-                                if slot is None:
-                                    # Fused miss: serve the source row
-                                    # through the timing block below;
-                                    # the insertion tail runs after it.
-                                    fig_stats.cache_lookups += 1
-                                    row = src_row
-                                    cache_hit = False
-                                    insert_kind = 1
-                                    fused = True
-                                else:
-                                    fig_stats.cache_lookups += 1
-                                    fig_stats.cache_hits += 1
-                                    tag_entry = \
-                                        fig_entries[flat_bank][slot]
-                                    if tag_entry.benefit < fig_benefit_max:
-                                        tag_entry.benefit += 1
-                                    tags = fig_tags[flat_bank]
-                                    tags._touch_counter += 1
-                                    tag_entry.last_touch = \
-                                        tags._touch_counter
-                                    if not tag_entry.dirty \
-                                            and bank.open_row == src_row:
-                                        row = src_row
-                                    else:
-                                        row = fig_row_ids[flat_bank][
-                                            slot // segments_per_row]
-                                    cache_hit = True
-                                    fused = True
-                            elif service_kind == 2:
-                                src_row = decoded.row
-                                state = lisa_banks_get(flat_bank)
-                                tag_entry = None if state is None \
-                                    else state.entries.get(src_row)
-                                if tag_entry is None:
-                                    lisa_stats.cache_lookups += 1
-                                    row = src_row
-                                    cache_hit = False
-                                    insert_kind = 2
-                                    fused = True
-                                else:
-                                    lisa_stats.cache_lookups += 1
-                                    lisa_stats.cache_hits += 1
-                                    if tag_entry.benefit \
-                                            < lisa_benefit_max:
-                                        tag_entry.benefit += 1
-                                    if not tag_entry.dirty \
-                                            and bank.open_row == src_row:
-                                        row = src_row
-                                    else:
-                                        row = lisa_fast_base \
-                                            + tag_entry.cache_slot
-                                    cache_hit = True
-                                    fused = True
-                            else:
-                                fused = False
-                            if fused:
-                                rank = rank_of[flat_bank]
-                                if refresh_on \
-                                        and cycle >= rank.next_refresh_due:
-                                    start = apply_refresh(cycle, flat_bank)
-                                else:
-                                    start = cycle
-                                served_fast = all_fast \
-                                    or row >= regular_rows
-                                busy_until = bank._busy_until
-                                if busy_until > start:
-                                    start = busy_until
-                                open_row = bank.open_row
-                                if open_row == row:
-                                    outcome = "hit"
-                                    c_row_hits += 1
-                                    col_cycle = bank._next_col_allowed
-                                    if start > col_cycle:
-                                        col_cycle = start
-                                else:
-                                    if open_row is None:
-                                        outcome = "miss"
-                                        c_row_misses += 1
-                                        act_cycle = start
-                                        naa = bank._next_act_allowed
-                                        if act_cycle < naa:
-                                            act_cycle = naa
-                                    else:
-                                        outcome = "conflict"
-                                        c_row_conflicts += 1
-                                        pre_cycle = bank._next_pre_allowed
-                                        if start > pre_cycle:
-                                            pre_cycle = start
-                                        act_cycle = pre_cycle + (
-                                            trp_fast if all_fast
-                                            or open_row >= regular_rows
-                                            else trp_slow)
-                                        c_precharges += 1
-                                    # Inline Bank._activate with rank
-                                    # tRRD/tFAW pacing and the bank-group
-                                    # tRRD_L split.
-                                    rrd_earliest = \
-                                        rank._last_activate + trrd
-                                    if rrd_earliest > act_cycle:
-                                        act_cycle = rrd_earliest
-                                    recent = rank._recent_activates
-                                    if len(recent) == 4:
-                                        faw_earliest = recent[0] + tfaw
-                                        if faw_earliest > act_cycle:
-                                            act_cycle = faw_earliest
-                                    if act_bg_pacing:
-                                        bg_last = rank._bg_last_act
-                                        bg_index = bank._bg_index
-                                        bg_earliest = \
-                                            bg_last[bg_index] + trrd_l
-                                        if bg_earliest > act_cycle:
-                                            act_cycle = bg_earliest
-                                        bg_last[bg_index] = act_cycle
-                                    rank._last_activate = act_cycle
-                                    recent.append(act_cycle)
-                                    c_activates += 1
-                                    if served_fast:
-                                        c_fast_activates += 1
-                                    if track_rows:
-                                        counters.record_row_activation(
-                                            bank._key, row)
-                                    bank.open_row = row
-                                    bank._last_act = act_cycle
-                                    trcd, tras = act_table[served_fast]
-                                    bank._next_pre_allowed = \
-                                        act_cycle + tras
-                                    col_cycle = act_cycle + trcd
-                                if col_pacing:
-                                    bg_index = bank._bg_index
-                                    earliest_col = \
-                                        rank._bg_last_col[bg_index] + tccd_l
-                                    cross = rank._last_col_cycle + tccd_s
-                                    if cross > earliest_col:
-                                        earliest_col = cross
-                                    if earliest_col > col_cycle:
-                                        col_cycle = earliest_col
-                                data_latency, tbl, tccd, t_a, t_b = \
-                                    col_table[served_fast]
-                                burst_start = col_cycle + data_latency
-                                bus_free_at = channel._bus_free_at
-                                if burst_start < bus_free_at:
-                                    burst_start = bus_free_at
-                                    col_cycle = burst_start - data_latency
-                                completion = burst_start + tbl
-                                channel._bus_free_at = completion
-                                c_reads += 1
-                                if served_fast:
-                                    c_fast_reads += 1
-                                next_col = col_cycle + tccd
-                                next_pre = col_cycle + t_a     # tRTP
-                                if next_col > bank._next_col_allowed:
-                                    bank._next_col_allowed = next_col
-                                if next_pre > bank._next_pre_allowed:
-                                    bank._next_pre_allowed = next_pre
-                                if col_cycle > bank._busy_until:
-                                    bank._busy_until = col_cycle
-                                if col_pacing:
-                                    rank._last_col_cycle = col_cycle
-                                    rank._bg_last_col[bg_index] = col_cycle
-                                request.in_dram_cache_hit = cache_hit
-                                request.row_buffer_outcome = outcome
-                                request.served_fast = served_fast
-                                if insert_kind:
-                                    # Inline FIGCache.service /
-                                    # LISAVillaMechanism.service miss
-                                    # tails (KEEP IN SYNC): insertion
-                                    # starts when the access data is
-                                    # back.  This path never schedules
-                                    # a bank wake, so the pushed-out
-                                    # bank readiness needs no re-read.
-                                    if insert_kind == 1:
-                                        bank_cache = \
-                                            fig_bank_caches[flat_bank]
-                                        insertion = \
-                                            bank_cache.insertion
-                                        if (bank_cache
-                                                .excluded_subarray < 0
-                                                or fig_may_cache(
-                                                    bank_cache,
-                                                    src_row)) \
-                                                and (insertion
-                                                     .always_inserts
-                                                     or insertion
-                                                     .should_insert(
-                                                         src_row,
-                                                         segment)):
-                                            fig_insert(
-                                                channel, completion,
-                                                flat_bank, bank_cache,
-                                                src_row, segment,
-                                                dirty=False)
-                                    else:
-                                        if state is None:
-                                            state = lisa_bank_state(
-                                                flat_bank)
-                                        lisa_insert(channel,
-                                                    completion,
-                                                    flat_bank, state,
-                                                    src_row,
-                                                    dirty=False)
-                            else:
-                                result = mech_service(channel, cycle,
-                                                      decoded,
-                                                      flat_bank, False)
-                                completion = result.completion_cycle
-                                request.in_dram_cache_hit = \
-                                    result.in_dram_cache_hit
-                                request.row_buffer_outcome = \
-                                    result.row_buffer_outcome
-                                request.served_fast = result.served_fast
-                            request.issue_cycle = cycle
-                            request.completion_cycle = completion
-                            completed_reads += 1
-                            latency = completion - request.arrival_cycle
-                            read_latencies[latency] = \
-                                read_lat_get(latency, 0) + 1
-                            # Inline TraceCore.notify_completion, copy A
-                            # (KEEP IN SYNC with copy B in the shared
-                            # delivery block and with TraceCore).
-                            block = address & block_mask
-                            kept = [miss for miss in outstanding
-                                    if miss.block != block]
-                            if len(kept) != len(outstanding):
-                                oldest = outstanding[0]
-                                stalled_before = \
-                                    len(mshr_entries) >= mshr_capacity \
-                                    or (oldest.blocks_window
-                                        and (issued_instructions
-                                             - oldest
-                                             .instruction_position)
-                                        >= window_size)
-                                outstanding[:] = kept
-                                del mshr_entries[address >> mshr_shift]
-                                if kept:
-                                    oldest = kept[0]
-                                    can_progress = not (
-                                        oldest.blocks_window
-                                        and (issued_instructions
-                                             - oldest
-                                             .instruction_position)
-                                        >= window_size)
-                                else:
-                                    can_progress = True
-                                if can_progress \
-                                        and completion > core_cycle:
-                                    stall = completion - core_cycle
-                                    if stalled_before \
-                                            and len(mshr_entries) + 1 \
-                                            >= mshr_capacity:
-                                        run_stats.stall_cycles_mshr += \
-                                            stall
-                                    else:
-                                        run_stats.stall_cycles_window += \
-                                            stall
-                                    core_cycle = completion
-                                if next_record >= trace_length \
-                                        and not outstanding:
-                                    # Inline TraceCore._retire.
-                                    finished = True
-                                    run_stats.finish_cycle = core_cycle
-                                if can_progress and not finished:
-                                    runs_append((completion, seq))
-                                    seq += 1
-                            freelist_append(request)
-                            handled = True
-                    if not handled:
-                        read_count += 1
-                if not handled:
-                    # Queue insert in FCFS (request_id) order.
-                    queue = index.get(flat_bank)
-                    if queue is None:
-                        index[flat_bank] = deque((request,))
-                    elif queue[-1].request_id < request.request_id:
-                        queue.append(request)
-                    else:
-                        # Rare out-of-order arrival: restore FCFS order.
-                        position = len(queue) - 1
-                        request_id = request.request_id
-                        while position > 0 \
-                                and queue[position - 1].request_id \
-                                > request_id:
-                            position -= 1
-                        queue.insert(position, request)
-                    bank = banks[flat_bank]
-                    busy_until = bank._busy_until
-                    nca = bank._next_col_allowed
-                    ready_at = busy_until if busy_until > nca else nca
-                    if ready_at > cycle:
-                        # Busy bank: note the wake-up (pending work is
-                        # guaranteed — the request was just queued).
-                        existing = wakeup_get(flat_bank)
-                        if existing is None or ready_at < existing:
-                            wakeup_cycle[flat_bank] = ready_at
-                            heappush(wakeup_heap, (ready_at, flat_bank))
-                    else:
-                        due_banks = (flat_bank,)
-            elif best_kind == _CORE_RUN:
-                # Fused TraceCore.run_requests (KEEP IN SYNC), batch-
-                # stepped over the precomputed cache simulation: each
-                # iteration of the loop below handles one memory-touching
-                # record (or one stall), and the cache-hit run leading up
-                # to it advances the core with two prefix-array
-                # subtractions.  Window-stall points come from a single
-                # bisect over the instruction prefix; the MSHR-full and
-                # oldest-miss conditions are loop-invariant between
-                # memory records, so checking them once per iteration is
-                # exactly the reference's per-record check.
-                runs_popleft()
-                if not finished:
-                    if cycle > core_cycle:
-                        core_cycle = cycle
-                    while next_record < trace_length:
-                        if len(mshr_entries) >= mshr_capacity:
-                            break
-                        if outstanding:
-                            oldest = outstanding[0]
-                            if oldest.blocks_window:
-                                window_limit = (oldest.instruction_position
-                                                + window_size)
-                                if instr_prefix[next_record] >= window_limit:
-                                    break
-                                stop = bisect_left(instr_prefix,
-                                                   window_limit,
-                                                   next_record + 1)
-                            else:
-                                stop = trace_n1
-                        else:
-                            stop = trace_n1
-                        ev = mem_idx[mem_ptr] if mem_ptr < n_mem_events \
-                            else trace_length
-                        if ev < stop and ev < trace_length:
-                            # Hit run up to (and including) the memory
-                            # record — its issue cost and exposed cache
-                            # latency are already in the prefix.
-                            core_cycle += (cost_prefix[ev + 1]
-                                           - cost_prefix[next_record])
-                            next_record = ev + 1
-                            address, is_write, needs_memory, wbs = \
-                                mem_events[mem_ptr]
-                            mem_ptr += 1
-                            for writeback_address in wbs:
-                                stat_writebacks += 1
-                                if freelist:
-                                    request = freelist_pop()
-                                    request.core_id = core_id
-                                    request.address = writeback_address
-                                    request.is_write = True
-                                    request.arrival_cycle = core_cycle
-                                    request.request_id = next(request_ids)
-                                else:
-                                    request = MemoryRequest(
-                                        core_id, writeback_address, True,
-                                        core_cycle)
-                                request.event_seq = seq
-                                seq += 1
-                                arrivals_append(request)
-                            if not needs_memory:
-                                continue
-
-                            # Inline MSHRFile.allocate: the loop head
-                            # guarantees a free entry.
-                            block = address >> mshr_shift
-                            merged_count = mshr_get(block)
-                            if merged_count is None:
-                                mshr_entries[block] = 1
-                                mshrs.allocations += 1
-                                new_entry = True
-                            else:
-                                mshr_entries[block] = merged_count + 1
-                                mshrs.merges += 1
-                                new_entry = False
-                            if is_write:
-                                stat_miss_stores += 1
-                            else:
-                                stat_miss_loads += 1
-                            if new_entry:
-                                if freelist:
-                                    request = freelist_pop()
-                                    request.core_id = core_id
-                                    request.address = address
-                                    request.is_write = False
-                                    request.arrival_cycle = core_cycle
-                                    request.request_id = next(request_ids)
-                                else:
-                                    request = MemoryRequest(core_id, address,
-                                                            False, core_cycle)
-                                request.event_seq = seq
-                                seq += 1
-                                arrivals_append(request)
-                                outstanding_append(_OutstandingMiss(
-                                    address, instr_prefix[next_record],
-                                    not is_write, address & block_mask))
-                            elif not is_write:
-                                # The miss merged into an existing MSHR;
-                                # the load still blocks the window on the
-                                # earlier request's completion.
-                                outstanding_append(_OutstandingMiss(
-                                    address, instr_prefix[next_record],
-                                    True, address & block_mask))
-                            continue
-                        # No executable memory record: pure hit run to
-                        # the window-stall point or the end of the trace.
-                        stop_record = stop if stop < trace_length \
-                            else trace_length
-                        core_cycle += (cost_prefix[stop_record]
-                                       - cost_prefix[next_record])
-                        next_record = stop_record
-                        break
-                    issued_instructions = instr_prefix[next_record]
-                    run_stats.instructions = \
-                        stats_instr_base + issued_instructions
-                    run_stats.memory_instructions = \
-                        stats_mem_base + next_record
-                    run_stats.writebacks = stat_writebacks
-                    run_stats.llc_miss_loads = stat_miss_loads
-                    run_stats.llc_miss_stores = stat_miss_stores
-                    if next_record >= trace_length and not outstanding:
-                        # Inline TraceCore._retire.
-                        finished = True
-                        run_stats.finish_cycle = core_cycle
-                continue
-            else:
-                # CONTROLLER_WAKE (the reference loop keeps superseded
-                # wake events in its heap; the wakes list mirrors that,
-                # swap-popping the consumed entry).
-                last = len(wakes) - 1
-                if wake_index != last:
-                    wakes[wake_index] = wakes[last]
-                del wakes[last]
-                if scheduled_wake is not None and scheduled_wake <= cycle:
-                    scheduled_wake = None
-                next_due = None
-                while wakeup_heap:
-                    head = wakeup_heap[0]
-                    if wakeup_get(head[1]) == head[0]:
-                        next_due = head[0]
-                        break
-                    heappop(wakeup_heap)
-                if next_due is None:
-                    continue
-                if next_due <= cycle:
-                    # Inline ChannelController.wake (KEEP IN SYNC).
-                    if len(wakeup_cycle) == 1:
-                        bank_index, due_cycle = \
-                            next(iter(wakeup_cycle.items()))
-                        if due_cycle <= cycle:
-                            del wakeup_cycle[bank_index]
-                            due_banks = (bank_index,)
-                    else:
-                        due = [bank_index for bank_index, due_cycle
-                               in wakeup_cycle.items() if due_cycle <= cycle]
-                        if due:
-                            for bank_index in due:
-                                del wakeup_cycle[bank_index]
-                            due_banks = due
-
-            # ----------------------------------------------------------
-            # Shared scheduling block: inline
-            # ChannelController._try_schedule_bank for each due bank
-            # (KEEP IN SYNC).
-            # ----------------------------------------------------------
-            if due_banks is not None:
-                completed = []
-                completed_append = completed.append
-                for flat_bank in due_banks:
-                    bank = banks[flat_bank]
-                    ready_at = bank._busy_until
-                    nca = bank._next_col_allowed
-                    if nca > ready_at:
-                        ready_at = nca
-                    while True:
-                        if ready_at > cycle:
-                            # Inline _note_wakeup, incl. its no-pending
-                            # guard.
-                            if flat_bank not in reads_by_bank \
-                                    and flat_bank not in writes_by_bank:
-                                wakeup_cycle.pop(flat_bank, None)
-                            else:
-                                existing = wakeup_get(flat_bank)
-                                if existing is None or ready_at < existing:
-                                    wakeup_cycle[flat_bank] = ready_at
-                                    heappush(wakeup_heap,
-                                             (ready_at, flat_bank))
-                            break
-                        # Inline FRFCFSScheduler.pick + _first_ready
-                        # (KEEP IN SYNC).  Class priority picks one
-                        # candidate queue — reads before writes except
-                        # during drain, writes opportunistically once
-                        # the backlog reaches the low watermark — and
-                        # the first-ready scan prefers the oldest
-                        # open-row hit, comparing each candidate's
-                        # *effective* row (inlined per mechanism; cache
-                        # hits may be served from a redirected cache
-                        # row, or from the source row while it is open
-                        # and the copy is clean).  A queue is deleted
-                        # when emptied, so a present queue is non-empty
-                        # and the scan always selects.
-                        bank_reads = reads_get(flat_bank)
-                        bank_writes = writes_get(flat_bank)
-                        if bank_writes is None:
-                            if bank_reads is None:
-                                break
-                            candidates = bank_reads
-                        elif bank_reads is None:
-                            if not drain_mode and write_count < drain_low:
-                                break
-                            candidates = bank_writes
-                        elif drain_mode:
-                            candidates = bank_writes
-                        else:
-                            candidates = bank_reads
-                        if len(candidates) == 1:
-                            request = candidates[0]
-                        else:
-                            request = None
-                            open_row = bank.open_row
-                            if open_row is not None:
-                                if scan_kind == 0:
-                                    for cand in candidates:
-                                        if cand.decoded.row == open_row:
-                                            request = cand
-                                            break
-                                elif scan_kind == 1:
-                                    # Inline FIGCache.effective_row.
-                                    lookup_get = fig_lookup[flat_bank].get
-                                    entries = fig_entries[flat_bank]
-                                    row_ids = fig_row_ids[flat_bank]
-                                    for cand in candidates:
-                                        cand_decoded = cand.decoded
-                                        cand_row = cand_decoded.row
-                                        slot = lookup_get(
-                                            (cand_row,
-                                             cand_decoded.column_block
-                                             // seg_blocks))
-                                        if slot is None:
-                                            effective = cand_row
-                                        elif not entries[slot].dirty \
-                                                and open_row == cand_row:
-                                            effective = cand_row
-                                        else:
-                                            effective = row_ids[
-                                                slot // segments_per_row]
-                                        if effective == open_row:
-                                            request = cand
-                                            break
-                                elif scan_kind == 2:
-                                    # Inline
-                                    # LISAVillaMechanism.effective_row
-                                    # (a missing bank state means an
-                                    # empty cache: every effective row
-                                    # is the decoded row).
-                                    state = lisa_banks_get(flat_bank)
-                                    if state is None:
-                                        for cand in candidates:
-                                            if cand.decoded.row \
-                                                    == open_row:
-                                                request = cand
-                                                break
-                                    else:
-                                        entries_get = state.entries.get
-                                        for cand in candidates:
-                                            cand_row = cand.decoded.row
-                                            tag_entry = \
-                                                entries_get(cand_row)
-                                            if tag_entry is None:
-                                                effective = cand_row
-                                            elif not tag_entry.dirty \
-                                                    and open_row \
-                                                    == cand_row:
-                                                effective = cand_row
-                                            else:
-                                                effective = \
-                                                    lisa_fast_base \
-                                                    + tag_entry.cache_slot
-                                            if effective == open_row:
-                                                request = cand
-                                                break
-                                else:
-                                    for cand in candidates:
-                                        if row_of(cand) == open_row:
-                                            request = cand
-                                            break
-                            if request is None:
-                                request = candidates[0]
-                        # Inline _dequeue.
-                        is_write = request.is_write
-                        if is_write:
-                            write_count -= 1
-                            if drain_mode and write_count <= drain_low:
-                                drain_mode = False
-                            index = writes_by_bank
-                        else:
-                            read_count -= 1
-                            index = reads_by_bank
-                        queue = index[flat_bank]
-                        if queue[0] is request:
-                            queue.popleft()
-                        else:
-                            queue.remove(request)
-                        if not queue:
-                            del index[flat_bank]
-                        # SERVICE copy B — KEEP IN SYNC with copy A
-                        # above (copy B additionally handles writes:
-                        # a write hit marks the tag entry dirty and is
-                        # always served from the cache row).
-                        decoded = request.decoded
-                        insert_kind = 0
-                        if service_kind == 0:
-                            row = decoded.row
-                            cache_hit = None
-                            fused = True
-                        elif service_kind == 1:
-                            src_row = decoded.row
-                            segment = decoded.column_block // seg_blocks
-                            slot = fig_lookup[flat_bank].get(
-                                (src_row, segment))
-                            if slot is None:
-                                # Fused miss (see copy A).
-                                fig_stats.cache_lookups += 1
-                                row = src_row
-                                cache_hit = False
-                                insert_kind = 1
-                                fused = True
-                            else:
-                                fig_stats.cache_lookups += 1
-                                fig_stats.cache_hits += 1
-                                tag_entry = fig_entries[flat_bank][slot]
-                                if tag_entry.benefit < fig_benefit_max:
-                                    tag_entry.benefit += 1
-                                tags = fig_tags[flat_bank]
-                                tags._touch_counter += 1
-                                tag_entry.last_touch = tags._touch_counter
-                                if is_write:
-                                    tag_entry.dirty = True
-                                    row = fig_row_ids[flat_bank][
-                                        slot // segments_per_row]
-                                elif not tag_entry.dirty \
-                                        and bank.open_row == src_row:
-                                    row = src_row
-                                else:
-                                    row = fig_row_ids[flat_bank][
-                                        slot // segments_per_row]
-                                cache_hit = True
-                                fused = True
-                        elif service_kind == 2:
-                            src_row = decoded.row
-                            state = lisa_banks_get(flat_bank)
-                            tag_entry = None if state is None \
-                                else state.entries.get(src_row)
-                            if tag_entry is None:
-                                lisa_stats.cache_lookups += 1
-                                row = src_row
-                                cache_hit = False
-                                insert_kind = 2
-                                fused = True
-                            else:
-                                lisa_stats.cache_lookups += 1
-                                lisa_stats.cache_hits += 1
-                                if tag_entry.benefit < lisa_benefit_max:
-                                    tag_entry.benefit += 1
-                                if is_write:
-                                    tag_entry.dirty = True
-                                    row = lisa_fast_base \
-                                        + tag_entry.cache_slot
-                                elif not tag_entry.dirty \
-                                        and bank.open_row == src_row:
-                                    row = src_row
-                                else:
-                                    row = lisa_fast_base \
-                                        + tag_entry.cache_slot
-                                cache_hit = True
-                                fused = True
-                        else:
-                            fused = False
-                        if fused:
-                            rank = rank_of[flat_bank]
-                            if refresh_on \
-                                    and cycle >= rank.next_refresh_due:
-                                start = apply_refresh(cycle, flat_bank)
-                            else:
-                                start = cycle
-                            served_fast = all_fast or row >= regular_rows
-                            busy_until = bank._busy_until
-                            if busy_until > start:
-                                start = busy_until
-                            open_row = bank.open_row
-                            if open_row == row:
-                                outcome = "hit"
-                                c_row_hits += 1
-                                col_cycle = bank._next_col_allowed
-                                if start > col_cycle:
-                                    col_cycle = start
-                            else:
-                                if open_row is None:
-                                    outcome = "miss"
-                                    c_row_misses += 1
-                                    act_cycle = start
-                                    naa = bank._next_act_allowed
-                                    if act_cycle < naa:
-                                        act_cycle = naa
-                                else:
-                                    outcome = "conflict"
-                                    c_row_conflicts += 1
-                                    pre_cycle = bank._next_pre_allowed
-                                    if start > pre_cycle:
-                                        pre_cycle = start
-                                    act_cycle = pre_cycle + (
-                                        trp_fast if all_fast
-                                        or open_row >= regular_rows
-                                        else trp_slow)
-                                    c_precharges += 1
-                                rrd_earliest = rank._last_activate + trrd
-                                if rrd_earliest > act_cycle:
-                                    act_cycle = rrd_earliest
-                                recent = rank._recent_activates
-                                if len(recent) == 4:
-                                    faw_earliest = recent[0] + tfaw
-                                    if faw_earliest > act_cycle:
-                                        act_cycle = faw_earliest
-                                if act_bg_pacing:
-                                    bg_last = rank._bg_last_act
-                                    bg_index = bank._bg_index
-                                    bg_earliest = \
-                                        bg_last[bg_index] + trrd_l
-                                    if bg_earliest > act_cycle:
-                                        act_cycle = bg_earliest
-                                    bg_last[bg_index] = act_cycle
-                                rank._last_activate = act_cycle
-                                recent.append(act_cycle)
-                                c_activates += 1
-                                if served_fast:
-                                    c_fast_activates += 1
-                                if track_rows:
-                                    counters.record_row_activation(
-                                        bank._key, row)
-                                bank.open_row = row
-                                bank._last_act = act_cycle
-                                trcd, tras = act_table[served_fast]
-                                bank._next_pre_allowed = act_cycle + tras
-                                col_cycle = act_cycle + trcd
-                            if col_pacing:
-                                bg_index = bank._bg_index
-                                earliest_col = \
-                                    rank._bg_last_col[bg_index] + tccd_l
-                                cross = rank._last_col_cycle + tccd_s
-                                if cross > earliest_col:
-                                    earliest_col = cross
-                                if earliest_col > col_cycle:
-                                    col_cycle = earliest_col
-                            data_latency, tbl, tccd, t_a, t_b = \
-                                col_table[2 | served_fast] if is_write \
-                                else col_table[served_fast]
-                            burst_start = col_cycle + data_latency
-                            bus_free_at = channel._bus_free_at
-                            if burst_start < bus_free_at:
-                                burst_start = bus_free_at
-                                col_cycle = burst_start - data_latency
-                            completion = burst_start + tbl
-                            channel._bus_free_at = completion
-                            if is_write:
-                                c_writes += 1
-                                if served_fast:
-                                    c_fast_writes += 1
-                                next_col = col_cycle + tccd
-                                turnaround = completion + t_a  # tWTR
-                                if turnaround > next_col:
-                                    next_col = turnaround
-                                next_pre = completion + t_b    # tWR
-                            else:
-                                c_reads += 1
-                                if served_fast:
-                                    c_fast_reads += 1
-                                next_col = col_cycle + tccd
-                                next_pre = col_cycle + t_a     # tRTP
-                            ready_at = bank._next_col_allowed
-                            if next_col > ready_at:
-                                bank._next_col_allowed = ready_at = next_col
-                            if next_pre > bank._next_pre_allowed:
-                                bank._next_pre_allowed = next_pre
-                            if col_cycle > bank._busy_until:
-                                bank._busy_until = col_cycle
-                            if col_pacing:
-                                rank._last_col_cycle = col_cycle
-                                rank._bg_last_col[bg_index] = col_cycle
-                            request.in_dram_cache_hit = cache_hit
-                            request.row_buffer_outcome = outcome
-                            request.served_fast = served_fast
-                            if insert_kind:
-                                # Inline FIGCache.service /
-                                # LISAVillaMechanism.service miss tails
-                                # (KEEP IN SYNC with copy A).  The
-                                # relocation work may push the bank's
-                                # busy window past the access, so
-                                # re-read its readiness (inline
-                                # Bank.ready_for_next) for the wake
-                                # scheduled below.
-                                if insert_kind == 1:
-                                    bank_cache = \
-                                        fig_bank_caches[flat_bank]
-                                    insertion = bank_cache.insertion
-                                    if (bank_cache.excluded_subarray
-                                            < 0
-                                            or fig_may_cache(
-                                                bank_cache, src_row)) \
-                                            and (insertion
-                                                 .always_inserts
-                                                 or insertion
-                                                 .should_insert(
-                                                     src_row,
-                                                     segment)):
-                                        fig_insert(channel, completion,
-                                                   flat_bank,
-                                                   bank_cache, src_row,
-                                                   segment,
-                                                   dirty=is_write)
-                                        busy = bank._busy_until
-                                        nca = bank._next_col_allowed
-                                        ready_at = busy \
-                                            if busy > nca else nca
-                                else:
-                                    if state is None:
-                                        state = lisa_bank_state(
-                                            flat_bank)
-                                    lisa_insert(channel, completion,
-                                                flat_bank, state,
-                                                src_row,
-                                                dirty=is_write)
-                                    busy = bank._busy_until
-                                    nca = bank._next_col_allowed
-                                    ready_at = busy \
-                                        if busy > nca else nca
-                        else:
-                            result = mech_service(channel, cycle,
-                                                  decoded,
-                                                  flat_bank, is_write)
-                            completion = result.completion_cycle
-                            request.in_dram_cache_hit = \
-                                result.in_dram_cache_hit
-                            request.row_buffer_outcome = \
-                                result.row_buffer_outcome
-                            request.served_fast = result.served_fast
-                            ready_at = result.bank_busy_until
-                        request.issue_cycle = cycle
-                        request.completion_cycle = completion
-                        latency = completion - request.arrival_cycle
-                        if is_write:
-                            completed_writes += 1
-                            write_latencies[latency] = \
-                                write_lat_get(latency, 0) + 1
-                        else:
-                            completed_reads += 1
-                            read_latencies[latency] = \
-                                read_lat_get(latency, 0) + 1
-                        completed_append(request)
-
-            if completed:
-                # Inline completion delivery (see Simulator._run) plus
-                # request pooling: reads are recycled right after their
-                # notify, writes immediately — nothing retains them.
-                for request in completed:
-                    if not request.is_write:
-                        completion_cycle = request.completion_cycle
-                        # Inline TraceCore.notify_completion, copy B
-                        # (KEEP IN SYNC with copy A in the arrival fast
-                        # path and with TraceCore).
-                        address = request.address
-                        block = address & block_mask
-                        kept = [miss for miss in outstanding
-                                if miss.block != block]
-                        if len(kept) != len(outstanding):
-                            oldest = outstanding[0]
-                            stalled_before = \
-                                len(mshr_entries) >= mshr_capacity \
-                                or (oldest.blocks_window
-                                    and (issued_instructions
-                                         - oldest.instruction_position)
-                                    >= window_size)
-                            outstanding[:] = kept
-                            del mshr_entries[address >> mshr_shift]
-                            if kept:
-                                oldest = kept[0]
-                                can_progress = not (
-                                    oldest.blocks_window
-                                    and (issued_instructions
-                                         - oldest.instruction_position)
-                                    >= window_size)
-                            else:
-                                can_progress = True
-                            if can_progress \
-                                    and completion_cycle > core_cycle:
-                                stall = completion_cycle - core_cycle
-                                if stalled_before \
-                                        and len(mshr_entries) + 1 \
-                                        >= mshr_capacity:
-                                    run_stats.stall_cycles_mshr += stall
-                                else:
-                                    run_stats.stall_cycles_window += stall
-                                core_cycle = completion_cycle
-                            if next_record >= trace_length \
-                                    and not outstanding:
-                                # Inline TraceCore._retire.
-                                finished = True
-                                run_stats.finish_cycle = core_cycle
-                            if can_progress and not finished:
-                                runs_append((completion_cycle, seq))
-                                seq += 1
-                    freelist_append(request)
-
-            # Trailing wake scheduling (skipped after CORE_RUN, exactly
-            # like the reference loop's `continue`).
-            wake_at = None
-            while wakeup_heap:
-                head = wakeup_heap[0]
-                if wakeup_get(head[1]) == head[0]:
-                    wake_at = head[0]
-                    break
-                heappop(wakeup_heap)
-            if wake_at is not None:
-                if wake_at < cycle:
-                    wake_at = cycle
-                if scheduled_wake is None or scheduled_wake > wake_at:
-                    scheduled_wake = wake_at
-                    wakes_append((wake_at, seq))
-                    seq += 1
-
-        counters.row_hits += c_row_hits
-        counters.row_misses += c_row_misses
-        counters.row_conflicts += c_row_conflicts
-        counters.precharges += c_precharges
-        counters.activates += c_activates
-        counters.fast_activates += c_fast_activates
-        counters.reads += c_reads
-        counters.fast_reads += c_fast_reads
-        counters.writes += c_writes
-        counters.fast_writes += c_fast_writes
-        c_row_hits = c_row_misses = c_row_conflicts = 0
-        c_precharges = c_activates = c_fast_activates = 0
-        c_reads = c_fast_reads = c_writes = c_fast_writes = 0
-        cc._read_count = read_count
-        cc._write_count = write_count
-        cc._drain_mode = drain_mode
-        cc.completed_reads = completed_reads
-        cc.completed_writes = completed_writes
-        core._next_record = next_record
-        core._core_cycle = core_cycle
-        core._issued_instructions = issued_instructions
-        core._finished = finished
-        if __debug__:
-            current_heap, current_live = cc.wakeup_view()
-            assert wakeup_heap is current_heap \
-                and wakeup_cycle is current_live, (
-                    "ChannelController rebound its wake-up structures "
-                    "mid-run; the hoisted snapshot went stale "
-                    "(see ChannelController.wakeup_view)")
-        return self._finish(cycle, processed)
-
-    # ------------------------------------------------------------------
-    # Fused multi-channel loop: calendar-queue scheduling, batch-stepped
-    # cores, and the single-channel loop's inlined controller/DRAM
-    # service path generalised to N channels.
+    # The fused event loop.
     # ------------------------------------------------------------------
     def _run_multi(self) -> int:
-        """Batch-stepped N-channel x M-core engine (bit-identical).
+        """The fused event loop, for any number of cores and channels.
 
-        Two structural changes over :meth:`_run_multi_generic`:
-
-        * **Calendar queue.**  The global event heap is replaced by a
-          bucketed calendar queue: events land in per-window buckets
-          (``cycle >> _BUCKET_SHIFT``), the earliest bucket is sorted
-          once and drained by pointer, and same-window pushes insert in
-          order past the drain pointer (every push is for ``>= now``, so
-          a new event always sorts after the pointer).  ``(cycle, seq)``
-          with the reference loop's unique, monotone ``seq`` decides the
-          order completely, so the drain sequence is exactly the heap's.
-
-        * **Fused request path.**  Address decode, controller enqueue,
-          the FR-FCFS pick, the flat-table timing chain, and the
-          FIGCache/LISA-VILLA probe-and-miss resolution are the
-          single-channel loop's inlined blocks, indexed per channel.
-          KEEP every block IN SYNC with its copy in ``_run_single`` and
-          with the sources those name.  Queue occupancy, drain mode, and
-          completion counters are mutated directly on the controller (no
-          local shadowing), so observers need no synchronisation points.
-
-        Traced runs and controller shapes the fused body does not
-        replicate (unknown mechanism subclasses, mixed timing tables,
-        non-uniform drain watermarks) fall back to the generic loop —
-        bit-identical by the backend parity contract.
+        Bit-identical to the reference loop (see the module docstring).
+        It first checks that the system is a shape it replicates and
+        otherwise returns :meth:`_run_reference` before touching any
+        state.
         """
         from repro.baselines.lisa_villa import LISAVillaMechanism
         from repro.controller.channel_controller import ChannelController
@@ -1994,12 +489,11 @@ class TurboSimulator:
         ccs = controller.channel_controllers
         cores = self._cores
         for cc in ccs:
-            # Subclassed controllers (tests, instrumentation) keep the
-            # generic loop, which drives them through their real methods.
+            # Traced runs and subclassed controllers (tests,
+            # instrumentation) need the real controller methods.
             if cc.tracer is not None or type(cc) is not ChannelController:
-                return self._run_multi_generic()
+                return self._run_reference()
         channels_l = [cc.channel for cc in ccs]
-        n_channels = len(ccs)
 
         # One set of hoisted timing scalars serves every channel: all
         # channels of a device share one DRAMConfig, so the content-
@@ -2008,7 +502,7 @@ class TurboSimulator:
         tables = tables_for_channel(channels_l[0])
         for ch in channels_l[1:]:
             if tables_for_channel(ch) is not tables:
-                return self._run_multi_generic()
+                return self._run_reference()
         col_table = tables.col
         act_table = tables.act
         trp_slow, trp_fast = tables.trp
@@ -2022,142 +516,94 @@ class TurboSimulator:
         all_fast = tables.all_fast
         regular_rows = tables.regular_rows
 
-        # Mechanism specialisation (see _run_single): uniform across
-        # channels or fall back.  Unknown mechanism subclasses take the
-        # generic loop wholesale — every registered configuration is
-        # direct, FIGCache, or LISA-VILLA.
+        # Mechanism specialisation, uniform across channels: direct
+        # access (no in-DRAM cache), FIGCache, or LISA-VILLA.  Any other
+        # mechanism — or a mix — runs the reference loop.  The kind
+        # selects both the fused service resolution and the inline
+        # ``effective_row`` of the FR-FCFS first-ready scan.
         mechanisms = [cc.mechanism for cc in ccs]
-        if all(cc._direct_access for cc in ccs):
+        mechanism = mechanisms[0]
+        if all(cc._direct_access and cc._row_of is None for cc in ccs):
             service_kind = 0
-        elif any(cc._direct_access for cc in ccs):
-            return self._run_multi_generic()
-        elif all(type(mechanism) is FIGCache for mechanism in mechanisms):
+        elif type(mechanism) is FIGCache:
             service_kind = 1
-        elif all(type(mechanism) is LISAVillaMechanism
-                 for mechanism in mechanisms):
+        elif type(mechanism) is LISAVillaMechanism:
             service_kind = 2
         else:
-            return self._run_multi_generic()
-        row_of_l = [cc._row_of for cc in ccs]
-        if all(row_of is None for row_of in row_of_l):
-            scan_kind = 0
-        elif any(row_of is None for row_of in row_of_l):
-            return self._run_multi_generic()
-        elif service_kind in (1, 2):
-            scan_kind = service_kind
-        else:
-            scan_kind = 3
+            return self._run_reference()
+        if service_kind and any(type(other) is not type(mechanism)
+                                for other in mechanisms):
+            return self._run_reference()
         drain_high = ccs[0]._drain_high
         drain_low = ccs[0]._drain_low
         for cc in ccs:
             if cc._drain_high != drain_high or cc._drain_low != drain_low:
-                return self._run_multi_generic()
+                return self._run_reference()
 
-        fig_stats_l = fig_lookup_l = fig_entries_l = fig_tags_l = None
-        fig_row_ids_l = fig_bank_caches_l = None
-        fig_may_cache_l = fig_insert_l = None
+        # Per-channel mechanism handles (FIGCache's eight, then
+        # LISA-VILLA's four; the other kind's are None), appended to
+        # ``chan_ctx`` below.
         seg_blocks = segments_per_row = fig_benefit_max = 0
-        lisa_stats_l = lisa_banks_get_l = None
-        lisa_bank_state_l = lisa_insert_l = None
         lisa_benefit_max = lisa_fast_base = 0
+        mech_ctx = [(None,) * 12] * len(ccs)
         if service_kind == 1:
-            seg_blocks = mechanisms[0]._segment_blocks
-            if any(mechanism._segment_blocks != seg_blocks
-                   for mechanism in mechanisms):
-                return self._run_multi_generic()
-            fig_stats_l = [mechanism.stats for mechanism in mechanisms]
-            fig_bank_caches_l = [
-                [mechanism._bank_cache(index)
-                 for index in range(len(channel._banks))]
-                for mechanism, channel in zip(mechanisms, channels_l)]
-            fig_lookup_l = [[cache.tags._lookup for cache in caches]
-                            for caches in fig_bank_caches_l]
-            fig_entries_l = [[cache.tags._entries for cache in caches]
-                             for caches in fig_bank_caches_l]
-            fig_tags_l = [[cache.tags for cache in caches]
-                          for caches in fig_bank_caches_l]
-            fig_row_ids_l = [[cache.cache_row_ids for cache in caches]
-                             for caches in fig_bank_caches_l]
-            segments_per_row = \
-                fig_bank_caches_l[0][0].tags._segments_per_row
-            fig_benefit_max = fig_bank_caches_l[0][0].tags._benefit_max
-            for caches in fig_bank_caches_l:
-                if caches[0].tags._segments_per_row != segments_per_row \
+            seg_blocks = mechanism._segment_blocks
+            tags = mechanism._bank_cache(0).tags
+            segments_per_row = tags._segments_per_row
+            fig_benefit_max = tags._benefit_max
+            mech_ctx = []
+            for other, channel in zip(mechanisms, channels_l):
+                caches = [other._bank_cache(index)
+                          for index in range(len(channel._banks))]
+                if other._segment_blocks != seg_blocks \
+                        or caches[0].tags._segments_per_row \
+                        != segments_per_row \
                         or caches[0].tags._benefit_max != fig_benefit_max:
-                    return self._run_multi_generic()
-            fig_may_cache_l = [mechanism._may_cache
-                               for mechanism in mechanisms]
-            fig_insert_l = [mechanism._insert_segment
-                            for mechanism in mechanisms]
+                    return self._run_reference()
+                mech_ctx.append((
+                    other.stats, [cache.tags._lookup for cache in caches],
+                    [cache.tags._entries for cache in caches],
+                    [cache.tags for cache in caches],
+                    [cache.cache_row_ids for cache in caches], caches,
+                    other._may_cache, other._insert_segment,
+                    None, None, None, None))
         elif service_kind == 2:
-            lisa_benefit_max = mechanisms[0]._benefit_max
-            lisa_fast_base = mechanisms[0]._fast_row_base
-            if any(mechanism._benefit_max != lisa_benefit_max
-                   or mechanism._fast_row_base != lisa_fast_base
-                   for mechanism in mechanisms):
-                return self._run_multi_generic()
-            lisa_stats_l = [mechanism.stats for mechanism in mechanisms]
-            lisa_banks_get_l = [mechanism._banks.get
-                                for mechanism in mechanisms]
-            lisa_bank_state_l = [mechanism._bank_state
-                                 for mechanism in mechanisms]
-            lisa_insert_l = [mechanism._insert_row
-                             for mechanism in mechanisms]
-
-        # Per-channel mechanism handles folded into one tuple each,
-        # unpacked once per arrival-fast-path service or once per due
-        # group in the scheduling block: like ``chan_ctx`` below, a
-        # single UNPACK_SEQUENCE replaces the ``_l[ci]`` subscripts
-        # the fused FIG/LISA branches would otherwise repeat.
-        if service_kind == 1:
-            mech_ctx = [
-                (fig_stats_l[ci], fig_lookup_l[ci], fig_entries_l[ci],
-                 fig_tags_l[ci], fig_row_ids_l[ci],
-                 fig_bank_caches_l[ci], fig_may_cache_l[ci],
-                 fig_insert_l[ci])
-                for ci in range(n_channels)]
-        elif service_kind == 2:
-            mech_ctx = [
-                (lisa_stats_l[ci], lisa_banks_get_l[ci],
-                 lisa_bank_state_l[ci], lisa_insert_l[ci])
-                for ci in range(n_channels)]
-        else:
-            mech_ctx = None
+            lisa_benefit_max = mechanism._benefit_max
+            lisa_fast_base = mechanism._fast_row_base
+            if any(other._benefit_max != lisa_benefit_max
+                   or other._fast_row_base != lisa_fast_base
+                   for other in mechanisms):
+                return self._run_reference()
+            mech_ctx = [(None,) * 8 + (other.stats, other._banks.get,
+                                      other._bank_state, other._insert_row)
+                        for other in mechanisms]
 
         # Per-channel structure snapshots, indexed by the decoded
         # channel number (ccs order == MemoryController._controllers_tuple
         # order, which the inlined controller fan-out below relies on).
-        banks_l = [channel._banks for channel in channels_l]
-        rank_of_l = [channel._rank_of for channel in channels_l]
-        apply_refresh_l = [channel._apply_refresh for channel in channels_l]
-        refresh_on_l = [rank_of[0].refresh_enabled if rank_of else False
-                        for rank_of in rank_of_l]
-        counters_l = [channel.counters for channel in channels_l]
-        track_rows_l = [counters.track_row_activations
-                        for counters in counters_l]
-        reads_l = [cc._reads_by_bank for cc in ccs]
-        writes_l = [cc._writes_by_bank for cc in ccs]
-        wakeup_views = [cc.wakeup_view() for cc in ccs]
-        wakeup_heap_l = [view[0] for view in wakeup_views]
-        wakeup_cycle_l = [view[1] for view in wakeup_views]
+        # Each channel's hoisted handles are one tuple, unpacked into
+        # the loop's locals only when the serviced channel changes (so
+        # once per run with one channel).
+        chan_ctx = []
+        for cc, channel, mech in zip(ccs, channels_l, mech_ctx):
+            rank_of = channel._rank_of
+            counters = channel.counters
+            reads_by_bank = cc._reads_by_bank
+            writes_by_bank = cc._writes_by_bank
+            wakeup_heap, wakeup_cycle_map = cc.wakeup_view()
+            chan_ctx.append((
+                cc, channel, channel._banks, rank_of,
+                rank_of[0].refresh_enabled if rank_of else False,
+                channel._apply_refresh, counters,
+                counters.track_row_activations, reads_by_bank,
+                reads_by_bank.get, writes_by_bank, writes_by_bank.get,
+                wakeup_heap, wakeup_cycle_map, wakeup_cycle_map.get,
+                cc.read_latencies, cc.write_latencies) + mech)
+        ctx_ci = -1
+        wakeup_cycle_l = [ctx[13] for ctx in chan_ctx]
         # (heap, live-map .get) pairs for the per-event wake scans —
         # prebound so the scans allocate nothing.
-        wake_scan = [(heap, live.get)
-                     for heap, live in zip(wakeup_heap_l, wakeup_cycle_l)]
-        read_lat_l = [cc.read_latencies for cc in ccs]
-        write_lat_l = [cc.write_latencies for cc in ccs]
-        # One tuple per channel with every hoisted handle the service
-        # path touches: a single UNPACK_SEQUENCE is much cheaper than
-        # the ~17 list subscripts it replaces, and services run it once
-        # per event (arrival fast path) or once per due group.
-        chan_ctx = [
-            (ccs[ci], channels_l[ci], banks_l[ci], rank_of_l[ci],
-             refresh_on_l[ci], apply_refresh_l[ci], counters_l[ci],
-             track_rows_l[ci], reads_l[ci], reads_l[ci].get,
-             writes_l[ci], writes_l[ci].get, wakeup_heap_l[ci],
-             wakeup_cycle_l[ci], wakeup_cycle_l[ci].get,
-             read_lat_l[ci], write_lat_l[ci])
-            for ci in range(n_channels)]
+        wake_scan = [(ctx[12], ctx[14]) for ctx in chan_ctx]
 
         # Address decode, inlined for route-cache misses (KEEP IN SYNC
         # with AddressMapper.decode / AddressMapper.flat_bank and
@@ -2179,7 +625,15 @@ class TurboSimulator:
         banks_per_bankgroup = mapper._banks_per_bankgroup
         route_cache = controller._route_cache
         route_cache_get = route_cache.get
-        decoded_address = DecodedAddress
+        # DecodedAddress is a frozen slotted dataclass whose generated
+        # __init__ routes every field through object.__setattr__; the
+        # slot descriptors build the identical object in half the time
+        # (most arrivals of a bench trace miss the route cache).
+        new_decoded = object.__new__
+        (set_channel, set_rank, set_bankgroup, set_bank, set_row,
+         set_column) = [getattr(DecodedAddress, name).__set__
+                        for name in ("channel", "rank", "bankgroup", "bank",
+                                     "row", "column_block")]
 
         max_cycles = self._limits.max_cycles
         max_events = self._limits.max_events
@@ -2192,40 +646,38 @@ class TurboSimulator:
         freelist_pop = freelist.pop
         freelist_append = freelist.append
 
-        # core_id doubles as the index into ``cores`` (see the generic
-        # loop's ``cores[request.core_id]``), so plans live in a list.
-        core_plans = [_plan_for_core(core) for core in cores]
-
-        # Calendar queue.  Buckets hold unsorted (cycle, seq, kind,
-        # payload) tuples per _BUCKET_WIDTH-cycle window; the earliest
-        # bucket is sorted once and drained by pointer.  seq is unique
-        # and monotone, so tuple comparison never reaches the payload.
-        seq = 0
-        seed: list = []
+        # Per-core handles — the compiled plan plus the core's hoisted
+        # state objects — one tuple per core, indexed by core_id and
+        # unpacked only when the core being stepped or notified changes
+        # (so once per run with one core).  ``mem_ptrs`` holds each
+        # core's position in its plan's memory-event list.
+        core_ctx = []
+        mem_ptrs = []
         for core in cores:
-            seed.append((0, seq, _CORE_RUN, core))
-            seq += 1
-        buckets: dict[int, list] = {0: seed}
-        buckets_get = buckets.get
-        cur_key = -1
-        cur_list: list = []
-        cur_ptr = 0
-        cur_len = 0
+            plan = _plan_for_core(core)
+            trace_length = len(plan[0]) - 1
+            mshr_entries = core._mshr_entries
+            outstanding = core._outstanding
+            core_ctx.append(plan + (
+                core, trace_length, trace_length + 1, len(plan[2]),
+                outstanding, outstanding.append, mshr_entries,
+                mshr_entries.get, core._mshr_capacity, core._mshr_shift,
+                core._block_mask, core.mshrs, core._window_size,
+                core.stats, core.core_id))
+            mem_ptrs.append(bisect_left(plan[2], core._next_record))
+        core_id = -1
+
+        # The event heap holds the reference loop's (cycle, seq, kind,
+        # payload) tuples; seq is unique and monotone, so tuple
+        # comparison never reaches the payload.  The initial core runs
+        # are already in heap order.
+        events = [(0, seq, _CORE_RUN, core) for seq, core in enumerate(cores)]
+        seq = len(cores)
         scheduled_wake: int | None = None
         processed = self.processed_events
         cycle = 0
-        while True:
-            if cur_ptr >= cur_len:
-                if not buckets:
-                    break
-                cur_key = min(buckets)
-                cur_list = buckets.pop(cur_key)
-                cur_list.sort()
-                cur_ptr = 0
-                cur_len = len(cur_list)
-                continue
-            cycle, _, kind, payload = cur_list[cur_ptr]
-            cur_ptr += 1
+        while events:
+            cycle, _, kind, payload = heappop(events)
             if cycle > max_cycles or processed >= max_events:
                 self._now = cycle
                 self.processed_events = processed
@@ -2264,402 +716,95 @@ class TurboSimulator:
                     bits >>= bankgroup_bits
                     rank_index = (bits & rank_mask) if rank_bits else 0
                     bits >>= rank_bits
-                    decoded = decoded_address(ci, rank_index, bankgroup,
-                                              bank_index,
-                                              bits % rows_per_bank, column)
+                    decoded = new_decoded(DecodedAddress)
+                    set_channel(decoded, ci)
+                    set_rank(decoded, rank_index)
+                    set_bankgroup(decoded, bankgroup)
+                    set_bank(decoded, bank_index)
+                    set_row(decoded, bits % rows_per_bank)
+                    set_column(decoded, column)
                     flat_bank = (rank_index * banks_per_rank
                                  + bankgroup * banks_per_bankgroup
                                  + bank_index)
-                    cc = ccs[ci]
-                    route_cache[address] = (decoded, flat_bank, cc)
+                    route_cache[address] = (decoded, flat_bank, ccs[ci])
                     request.decoded = decoded
                     request.flat_bank = flat_bank
                 else:
                     decoded = route_entry[0]
                     request.decoded = decoded
                     flat_bank = request.flat_bank = route_entry[1]
-                    cc = route_entry[2]
                     ci = decoded.channel
-                reads_by_bank = reads_l[ci]
-                writes_by_bank = writes_l[ci]
-                handled = False
+                if ci != ctx_ci:
+                    ctx_ci = ci
+                    (cc, channel, banks, rank_of, refresh_on, apply_refresh,
+                     counters, track_rows, reads_by_bank, reads_get,
+                     writes_by_bank, writes_get, wakeup_heap,
+                     wakeup_cycle_map, wakeup_get, read_latencies,
+                     write_latencies, fig_stats, fig_lookup, fig_entries,
+                     fig_tags, fig_row_ids, fig_caches, fig_may_cache,
+                     fig_insert, lisa_stats, lisa_banks_get, lisa_bank_state,
+                     lisa_insert) = chan_ctx[ci]
+                # A read to an idle, free bank takes the queue and the
+                # scheduling block below exactly like any other arrival:
+                # the enqueue fast path's outcome is the sole-candidate
+                # pick's.
                 if request.is_write:
                     write_count = cc._write_count = cc._write_count + 1
                     if not cc._drain_mode and write_count >= drain_high:
                         cc._drain_mode = True
                     index = writes_by_bank
                 else:
+                    cc._read_count += 1
                     index = reads_by_bank
-                    # Enqueue fast path: a sole read to a free bank is
-                    # picked unconditionally — service it immediately.
-                    if flat_bank not in reads_by_bank \
-                            and flat_bank not in writes_by_bank:
-                        banks = banks_l[ci]
-                        bank = banks[flat_bank]
-                        busy_until = bank._busy_until
-                        nca = bank._next_col_allowed
-                        ready_at = busy_until if busy_until > nca else nca
-                        if ready_at <= cycle:
-                            # SERVICE copy A (read fast path) — KEEP IN
-                            # SYNC with _run_single copy A, with copy B
-                            # below, and with the sources those name.
-                            (cc, channel, banks, rank_of, refresh_on,
-                             apply_refresh, counters, track_rows,
-                             reads_by_bank, reads_get, writes_by_bank,
-                             writes_get, wakeup_heap, wakeup_cycle_map,
-                             wakeup_get, read_latencies,
-                             write_latencies) = chan_ctx[ci]
-                            insert_kind = 0
-                            if service_kind == 0:
-                                row = decoded.row
-                                cache_hit = None
-                            elif service_kind == 1:
-                                (fig_stats, fig_lookup, fig_entries,
-                                 fig_tags, fig_row_ids, fig_caches,
-                                 fig_may_cache,
-                                 fig_insert) = mech_ctx[ci]
-                                src_row = decoded.row
-                                segment = (decoded.column_block
-                                           // seg_blocks)
-                                slot = fig_lookup[flat_bank].get(
-                                    (src_row, segment))
-                                if slot is None:
-                                    # Fused miss: serve the source row
-                                    # through the timing block below;
-                                    # the insertion tail runs after it.
-                                    fig_stats.cache_lookups += 1
-                                    row = src_row
-                                    cache_hit = False
-                                    insert_kind = 1
-                                else:
-                                    fig_stats.cache_lookups += 1
-                                    fig_stats.cache_hits += 1
-                                    tag_entry = \
-                                        fig_entries[flat_bank][slot]
-                                    if tag_entry.benefit < fig_benefit_max:
-                                        tag_entry.benefit += 1
-                                    tags = fig_tags[flat_bank]
-                                    tags._touch_counter += 1
-                                    tag_entry.last_touch = \
-                                        tags._touch_counter
-                                    if not tag_entry.dirty \
-                                            and bank.open_row == src_row:
-                                        row = src_row
-                                    else:
-                                        row = fig_row_ids[flat_bank][
-                                            slot // segments_per_row]
-                                    cache_hit = True
-                            else:
-                                (lisa_stats, lisa_banks_get,
-                                 lisa_bank_state,
-                                 lisa_insert) = mech_ctx[ci]
-                                src_row = decoded.row
-                                state = lisa_banks_get(flat_bank)
-                                tag_entry = None if state is None \
-                                    else state.entries.get(src_row)
-                                if tag_entry is None:
-                                    lisa_stats.cache_lookups += 1
-                                    row = src_row
-                                    cache_hit = False
-                                    insert_kind = 2
-                                else:
-                                    lisa_stats.cache_lookups += 1
-                                    lisa_stats.cache_hits += 1
-                                    if tag_entry.benefit \
-                                            < lisa_benefit_max:
-                                        tag_entry.benefit += 1
-                                    if not tag_entry.dirty \
-                                            and bank.open_row == src_row:
-                                        row = src_row
-                                    else:
-                                        row = lisa_fast_base \
-                                            + tag_entry.cache_slot
-                                    cache_hit = True
-                            rank = rank_of[flat_bank]
-                            if refresh_on \
-                                    and cycle >= rank.next_refresh_due:
-                                start = apply_refresh(cycle, flat_bank)
-                            else:
-                                start = cycle
-                            served_fast = all_fast \
-                                or row >= regular_rows
-                            busy_until = bank._busy_until
-                            if busy_until > start:
-                                start = busy_until
-                            open_row = bank.open_row
-                            if open_row == row:
-                                outcome = "hit"
-                                counters.row_hits += 1
-                                col_cycle = bank._next_col_allowed
-                                if start > col_cycle:
-                                    col_cycle = start
-                            else:
-                                if open_row is None:
-                                    outcome = "miss"
-                                    counters.row_misses += 1
-                                    act_cycle = start
-                                    naa = bank._next_act_allowed
-                                    if act_cycle < naa:
-                                        act_cycle = naa
-                                else:
-                                    outcome = "conflict"
-                                    counters.row_conflicts += 1
-                                    pre_cycle = bank._next_pre_allowed
-                                    if start > pre_cycle:
-                                        pre_cycle = start
-                                    act_cycle = pre_cycle + (
-                                        trp_fast if all_fast
-                                        or open_row >= regular_rows
-                                        else trp_slow)
-                                    counters.precharges += 1
-                                # Inline Bank._activate with rank
-                                # tRRD/tFAW pacing and the bank-group
-                                # tRRD_L split.
-                                rrd_earliest = \
-                                    rank._last_activate + trrd
-                                if rrd_earliest > act_cycle:
-                                    act_cycle = rrd_earliest
-                                recent = rank._recent_activates
-                                if len(recent) == 4:
-                                    faw_earliest = recent[0] + tfaw
-                                    if faw_earliest > act_cycle:
-                                        act_cycle = faw_earliest
-                                if act_bg_pacing:
-                                    bg_last = rank._bg_last_act
-                                    bg_index = bank._bg_index
-                                    bg_earliest = \
-                                        bg_last[bg_index] + trrd_l
-                                    if bg_earliest > act_cycle:
-                                        act_cycle = bg_earliest
-                                    bg_last[bg_index] = act_cycle
-                                rank._last_activate = act_cycle
-                                recent.append(act_cycle)
-                                counters.activates += 1
-                                if served_fast:
-                                    counters.fast_activates += 1
-                                if track_rows:
-                                    counters.record_row_activation(
-                                        bank._key, row)
-                                bank.open_row = row
-                                bank._last_act = act_cycle
-                                trcd, tras = act_table[served_fast]
-                                bank._next_pre_allowed = \
-                                    act_cycle + tras
-                                col_cycle = act_cycle + trcd
-                            if col_pacing:
-                                bg_index = bank._bg_index
-                                earliest_col = \
-                                    rank._bg_last_col[bg_index] + tccd_l
-                                cross = rank._last_col_cycle + tccd_s
-                                if cross > earliest_col:
-                                    earliest_col = cross
-                                if earliest_col > col_cycle:
-                                    col_cycle = earliest_col
-                            data_latency, tbl, tccd, t_a, t_b = \
-                                col_table[served_fast]
-                            burst_start = col_cycle + data_latency
-                            bus_free_at = channel._bus_free_at
-                            if burst_start < bus_free_at:
-                                burst_start = bus_free_at
-                                col_cycle = burst_start - data_latency
-                            completion = burst_start + tbl
-                            channel._bus_free_at = completion
-                            counters.reads += 1
-                            if served_fast:
-                                counters.fast_reads += 1
-                            next_col = col_cycle + tccd
-                            next_pre = col_cycle + t_a     # tRTP
-                            if next_col > bank._next_col_allowed:
-                                bank._next_col_allowed = next_col
-                            if next_pre > bank._next_pre_allowed:
-                                bank._next_pre_allowed = next_pre
-                            if col_cycle > bank._busy_until:
-                                bank._busy_until = col_cycle
-                            if col_pacing:
-                                rank._last_col_cycle = col_cycle
-                                rank._bg_last_col[bg_index] = col_cycle
-                            request.in_dram_cache_hit = cache_hit
-                            request.row_buffer_outcome = outcome
-                            request.served_fast = served_fast
-                            if insert_kind:
-                                # Inline FIGCache.service /
-                                # LISAVillaMechanism.service miss tails
-                                # (KEEP IN SYNC): insertion starts when
-                                # the access data is back.  This path
-                                # never schedules a bank wake, so the
-                                # pushed-out bank readiness needs no
-                                # re-read.
-                                if insert_kind == 1:
-                                    bank_cache = fig_caches[flat_bank]
-                                    insertion = bank_cache.insertion
-                                    if (bank_cache.excluded_subarray < 0
-                                            or fig_may_cache(
-                                                bank_cache, src_row)) \
-                                            and (insertion.always_inserts
-                                                 or insertion
-                                                 .should_insert(
-                                                     src_row, segment)):
-                                        fig_insert(
-                                            channel, completion,
-                                            flat_bank, bank_cache,
-                                            src_row, segment,
-                                            dirty=False)
-                                else:
-                                    if state is None:
-                                        state = lisa_bank_state(
-                                            flat_bank)
-                                    lisa_insert(channel,
-                                                completion,
-                                                flat_bank, state,
-                                                src_row,
-                                                dirty=False)
-                            request.issue_cycle = cycle
-                            request.completion_cycle = completion
-                            cc.completed_reads += 1
-                            latency = completion - request.arrival_cycle
-                            read_latencies[latency] = \
-                                read_latencies.get(latency, 0) + 1
-                            # Completion delivery (see Simulator._run):
-                            # the fast path completes exactly this one
-                            # read.  Inline TraceCore.notify_completion
-                            # (KEEP IN SYNC with it and with the batch
-                            # delivery loop below).
-                            core = cores[request.core_id]
-                            block_mask = core._block_mask
-                            block = address & block_mask
-                            outstanding = core._outstanding
-                            kept = [miss for miss in outstanding
-                                    if (miss.address & block_mask)
-                                    != block]
-                            if len(kept) != len(outstanding):
-                                mshr_entries = core._mshr_entries
-                                mshr_capacity = core._mshr_capacity
-                                window_size = core._window_size
-                                issued = core._issued_instructions
-                                oldest = outstanding[0]
-                                stalled_before = \
-                                    len(mshr_entries) >= mshr_capacity \
-                                    or (oldest.blocks_window
-                                        and (issued - oldest
-                                             .instruction_position)
-                                        >= window_size)
-                                outstanding[:] = kept
-                                del mshr_entries[
-                                    address >> core._mshr_shift]
-                                if kept:
-                                    oldest = kept[0]
-                                    can_progress = not (
-                                        oldest.blocks_window
-                                        and (issued - oldest
-                                             .instruction_position)
-                                        >= window_size)
-                                else:
-                                    can_progress = True
-                                if can_progress \
-                                        and completion \
-                                        > core._core_cycle:
-                                    stall = completion \
-                                        - core._core_cycle
-                                    if stalled_before \
-                                            and len(mshr_entries) + 1 \
-                                            >= mshr_capacity:
-                                        core.stats.stall_cycles_mshr \
-                                            += stall
-                                    else:
-                                        core.stats.stall_cycles_window \
-                                            += stall
-                                    core._core_cycle = completion
-                                if not kept and core._next_record \
-                                        >= core._trace_length:
-                                    # Inline _retire.
-                                    core._finished = True
-                                    core.stats.finish_cycle = \
-                                        core._core_cycle
-                                if can_progress \
-                                        and not core._finished:
-                                    event = (completion, seq,
-                                             _CORE_RUN, core)
-                                    seq += 1
-                                    bucket_key = \
-                                        completion >> _BUCKET_SHIFT
-                                    if bucket_key == cur_key:
-                                        insort(cur_list, event,
-                                               cur_ptr)
-                                        cur_len += 1
-                                    else:
-                                        bucket = \
-                                            buckets_get(bucket_key)
-                                        if bucket is None:
-                                            buckets[bucket_key] = \
-                                                [event]
-                                        else:
-                                            bucket.append(event)
-                            freelist_append(request)
-                            handled = True
-                    if not handled:
-                        cc._read_count += 1
-                if not handled:
-                    # Queue insert in FCFS (request_id) order.
-                    queue = index.get(flat_bank)
-                    if queue is None:
-                        index[flat_bank] = deque((request,))
-                    elif queue[-1].request_id < request.request_id:
-                        queue.append(request)
-                    else:
-                        # Rare out-of-order arrival: restore FCFS order.
-                        position = len(queue) - 1
-                        request_id = request.request_id
-                        while position > 0 \
-                                and queue[position - 1].request_id \
-                                > request_id:
-                            position -= 1
-                        queue.insert(position, request)
-                    bank = banks_l[ci][flat_bank]
-                    busy_until = bank._busy_until
-                    nca = bank._next_col_allowed
-                    ready_at = busy_until if busy_until > nca else nca
-                    if ready_at > cycle:
-                        # Busy bank: note the wake-up (pending work is
-                        # guaranteed — the request was just queued).
-                        wakeup_cycle_map = wakeup_cycle_l[ci]
-                        existing = wakeup_cycle_map.get(flat_bank)
-                        if existing is None or ready_at < existing:
-                            wakeup_cycle_map[flat_bank] = ready_at
-                            heappush(wakeup_heap_l[ci],
-                                     (ready_at, flat_bank))
-                            wake_pushed = True
-                    else:
-                        due_work = ((ci, (flat_bank,)),)
+                # Queue insert in FCFS (request_id) order.
+                queue = index.get(flat_bank)
+                if queue is None:
+                    index[flat_bank] = deque((request,))
+                elif queue[-1].request_id < request.request_id:
+                    queue.append(request)
+                else:
+                    # Rare out-of-order arrival: restore FCFS order.
+                    position = len(queue) - 1
+                    request_id = request.request_id
+                    while position > 0 \
+                            and queue[position - 1].request_id > request_id:
+                        position -= 1
+                    queue.insert(position, request)
+                bank = banks[flat_bank]
+                busy_until = bank._busy_until
+                nca = bank._next_col_allowed
+                ready_at = busy_until if busy_until > nca else nca
+                if ready_at > cycle:
+                    # Busy bank: note the wake-up (pending work is
+                    # guaranteed — the request was just queued).
+                    existing = wakeup_get(flat_bank)
+                    if existing is None or ready_at < existing:
+                        wakeup_cycle_map[flat_bank] = ready_at
+                        heappush(wakeup_heap, (ready_at, flat_bank))
+                        wake_pushed = True
+                else:
+                    due_work = ((ci, (flat_bank,)),)
             elif kind == _CORE_RUN:
-                # Inline _step_core (KEEP IN SYNC with it and with
-                # TraceCore.run_requests): advance the core through its
-                # precompiled plan, pushing each issued request as an
-                # arrival event directly — no intermediate list.
-                core = payload
-                if core._finished:
+                # Batch-stepped TraceCore.run_requests (KEEP IN SYNC):
+                # each iteration below handles one memory-touching record
+                # (or one stall), the hit run leading up to it applied as
+                # prefix-array differences and window stalls located by
+                # one bisect; issued requests are pushed as arrival
+                # events directly.
+                if payload._finished:
                     continue
-                (cost_prefix, instr_prefix, mem_idx, mem_events,
-                 stats_instr_base, stats_mem_base) = \
-                    core_plans[core.core_id]
-                trace_length = len(cost_prefix) - 1
-                trace_n1 = trace_length + 1
+                if payload.core_id != core_id:
+                    (cost_prefix, instr_prefix, mem_idx, mem_events,
+                     stats_instr_base, stats_mem_base, core, trace_length,
+                     trace_n1, n_mem_events, outstanding, outstanding_append,
+                     mshr_entries, mshr_get, mshr_capacity, mshr_shift,
+                     block_mask, mshrs, window_size, run_stats,
+                     core_id) = core_ctx[payload.core_id]
                 next_record = core._next_record
                 core_cycle = core._core_cycle
                 if cycle > core_cycle:
                     core_cycle = cycle
-                outstanding = core._outstanding
-                outstanding_append = outstanding.append
-                mshr_entries = core._mshr_entries
-                mshr_capacity = core._mshr_capacity
-                mshr_get = mshr_entries.get
-                mshr_shift = core._mshr_shift
-                block_mask = core._block_mask
-                mshrs = core.mshrs
-                window_size = core._window_size
-                run_stats = core.stats
-                core_id = core.core_id
-                n_mem_events = len(mem_idx)
-                mem_ptr = bisect_left(mem_idx, next_record)
+                mem_ptr = mem_ptrs[core_id]
                 new_writebacks = 0
                 new_miss_loads = 0
                 new_miss_stores = 0
@@ -2704,19 +849,9 @@ class TurboSimulator:
                                 request = MemoryRequest(
                                     core_id, writeback_address, True,
                                     core_cycle)
-                            event = (core_cycle, seq,
-                                     _REQUEST_ARRIVAL, request)
+                            heappush(events, (core_cycle, seq,
+                                              _REQUEST_ARRIVAL, request))
                             seq += 1
-                            bucket_key = core_cycle >> _BUCKET_SHIFT
-                            if bucket_key == cur_key:
-                                insort(cur_list, event, cur_ptr)
-                                cur_len += 1
-                            else:
-                                bucket = buckets_get(bucket_key)
-                                if bucket is None:
-                                    buckets[bucket_key] = [event]
-                                else:
-                                    bucket.append(event)
                         if not needs_memory:
                             continue
                         # Inline MSHRFile.allocate: the loop head
@@ -2746,19 +881,9 @@ class TurboSimulator:
                             else:
                                 request = MemoryRequest(
                                     core_id, address, False, core_cycle)
-                            event = (core_cycle, seq,
-                                     _REQUEST_ARRIVAL, request)
+                            heappush(events, (core_cycle, seq,
+                                              _REQUEST_ARRIVAL, request))
                             seq += 1
-                            bucket_key = core_cycle >> _BUCKET_SHIFT
-                            if bucket_key == cur_key:
-                                insort(cur_list, event, cur_ptr)
-                                cur_len += 1
-                            else:
-                                bucket = buckets_get(bucket_key)
-                                if bucket is None:
-                                    buckets[bucket_key] = [event]
-                                else:
-                                    bucket.append(event)
                             outstanding_append(_OutstandingMiss(
                                 address, instr_prefix[next_record],
                                 not is_write, address & block_mask))
@@ -2778,6 +903,7 @@ class TurboSimulator:
                         - cost_prefix[next_record]
                     next_record = stop_record
                     break
+                mem_ptrs[core_id] = mem_ptr
                 core._next_record = next_record
                 core._core_cycle = core_cycle
                 issued_instructions = instr_prefix[next_record]
@@ -2800,14 +926,14 @@ class TurboSimulator:
                 if scheduled_wake is not None and scheduled_wake <= cycle:
                     scheduled_wake = None
                 next_due = None
-                for wakeup_heap, wakeup_get in wake_scan:
-                    while wakeup_heap:
-                        head = wakeup_heap[0]
-                        if wakeup_get(head[1]) == head[0]:
+                for scan_heap, scan_get in wake_scan:
+                    while scan_heap:
+                        head = scan_heap[0]
+                        if scan_get(head[1]) == head[0]:
                             if next_due is None or head[0] < next_due:
                                 next_due = head[0]
                             break
-                        heappop(wakeup_heap)
+                        heappop(scan_heap)
                 if next_due is None:
                     continue
                 if next_due <= cycle:
@@ -2815,23 +941,22 @@ class TurboSimulator:
                     # pending wake-ups runs ChannelController.wake in
                     # controller order (KEEP IN SYNC with both).
                     due_work = []
-                    for ci in range(n_channels):
-                        wakeup_cycle_map = wakeup_cycle_l[ci]
-                        if not wakeup_cycle_map:
+                    for ci, live_map in enumerate(wakeup_cycle_l):
+                        if not live_map:
                             continue
-                        if len(wakeup_cycle_map) == 1:
+                        if len(live_map) == 1:
                             bank_index, due_cycle = \
-                                next(iter(wakeup_cycle_map.items()))
+                                next(iter(live_map.items()))
                             if due_cycle <= cycle:
-                                del wakeup_cycle_map[bank_index]
+                                del live_map[bank_index]
                                 due_work.append((ci, (bank_index,)))
                         else:
                             due = [bank_index for bank_index, due_cycle
-                                   in wakeup_cycle_map.items()
+                                   in live_map.items()
                                    if due_cycle <= cycle]
                             if due:
                                 for bank_index in due:
-                                    del wakeup_cycle_map[bank_index]
+                                    del live_map[bank_index]
                                 due_work.append((ci, due))
                     if not due_work:
                         due_work = None
@@ -2839,24 +964,23 @@ class TurboSimulator:
             # ----------------------------------------------------------
             # Shared scheduling block: inline
             # ChannelController._try_schedule_bank for each due bank of
-            # each due channel (KEEP IN SYNC with _run_single).
+            # each due channel (KEEP IN SYNC).
             # ----------------------------------------------------------
             if due_work is not None:
                 completed = []
                 completed_append = completed.append
                 for ci, due_banks in due_work:
-                    (cc, channel, banks, rank_of, refresh_on,
-                     apply_refresh, counters, track_rows, reads_by_bank,
-                     reads_get, writes_by_bank, writes_get, wakeup_heap,
-                     wakeup_cycle_map, wakeup_get, read_latencies,
-                     write_latencies) = chan_ctx[ci]
-                    if service_kind == 1:
-                        (fig_stats, fig_lookup, fig_entries, fig_tags,
-                         fig_row_ids, fig_caches, fig_may_cache,
-                         fig_insert) = mech_ctx[ci]
-                    elif service_kind == 2:
-                        (lisa_stats, lisa_banks_get, lisa_bank_state,
-                         lisa_insert) = mech_ctx[ci]
+                    if ci != ctx_ci:
+                        ctx_ci = ci
+                        (cc, channel, banks, rank_of, refresh_on,
+                         apply_refresh, counters, track_rows, reads_by_bank,
+                         reads_get, writes_by_bank, writes_get, wakeup_heap,
+                         wakeup_cycle_map, wakeup_get, read_latencies,
+                         write_latencies, fig_stats, fig_lookup,
+                         fig_entries, fig_tags, fig_row_ids, fig_caches,
+                         fig_may_cache, fig_insert, lisa_stats,
+                         lisa_banks_get, lisa_bank_state,
+                         lisa_insert) = chan_ctx[ci]
                     for flat_bank in due_banks:
                         bank = banks[flat_bank]
                         ready_at = bank._busy_until
@@ -2882,7 +1006,7 @@ class TurboSimulator:
                                         wake_pushed = True
                                 break
                             # Inline FRFCFSScheduler.pick + _first_ready
-                            # (KEEP IN SYNC with _run_single).
+                            # (KEEP IN SYNC).
                             bank_reads = reads_get(flat_bank)
                             bank_writes = writes_get(flat_bank)
                             if bank_writes is None:
@@ -2904,13 +1028,13 @@ class TurboSimulator:
                                 request = None
                                 open_row = bank.open_row
                                 if open_row is not None:
-                                    if scan_kind == 0:
+                                    if service_kind == 0:
                                         for cand in candidates:
                                             if cand.decoded.row \
                                                     == open_row:
                                                 request = cand
                                                 break
-                                    elif scan_kind == 1:
+                                    elif service_kind == 1:
                                         # Inline FIGCache.effective_row.
                                         lookup_get = \
                                             fig_lookup[flat_bank].get
@@ -2938,7 +1062,7 @@ class TurboSimulator:
                                             if effective == open_row:
                                                 request = cand
                                                 break
-                                    elif scan_kind == 2:
+                                    else:
                                         # Inline LISAVillaMechanism
                                         # .effective_row (a missing bank
                                         # state means an empty cache).
@@ -2972,12 +1096,6 @@ class TurboSimulator:
                                                 if effective == open_row:
                                                     request = cand
                                                     break
-                                    else:
-                                        row_of = row_of_l[ci]
-                                        for cand in candidates:
-                                            if row_of(cand) == open_row:
-                                                request = cand
-                                                break
                                 if request is None:
                                     request = candidates[0]
                             # Inline _dequeue.
@@ -2999,12 +1117,18 @@ class TurboSimulator:
                                 queue.remove(request)
                             if not queue:
                                 del index[flat_bank]
-                            # SERVICE copy B — KEEP IN SYNC with copy A
-                            # above, with _run_single copy B, and with
-                            # the sources those name (copy B additionally
-                            # handles writes: a write hit marks the tag
-                            # entry dirty and is always served from the
-                            # cache row).
+                            # Service: resolve the target row — direct
+                            # access serves the decoded row; an in-DRAM
+                            # cache hit runs its tag bookkeeping inline
+                            # and redirects to the cache row (or the
+                            # still-open source row; a write hit marks
+                            # the entry dirty and always goes to the
+                            # cache row) — then run Channel.access /
+                            # Bank.access / Bank._activate on it (KEEP
+                            # IN SYNC with those, with FIGCache.service
+                            # and LISAVillaMechanism.service, and with
+                            # the completion bookkeeping of
+                            # _try_schedule_bank).
                             decoded = request.decoded
                             insert_kind = 0
                             if service_kind == 0:
@@ -3017,7 +1141,9 @@ class TurboSimulator:
                                 slot = fig_lookup[flat_bank].get(
                                     (src_row, segment))
                                 if slot is None:
-                                    # Fused miss (see copy A).
+                                    # Fused miss: serve the source row
+                                    # through the timing block below;
+                                    # the insertion tail runs after it.
                                     fig_stats.cache_lookups += 1
                                     row = src_row
                                     cache_hit = False
@@ -3188,7 +1314,8 @@ class TurboSimulator:
                             if insert_kind:
                                 # Inline FIGCache.service /
                                 # LISAVillaMechanism.service miss tails
-                                # (KEEP IN SYNC with copy A).  The
+                                # (KEEP IN SYNC): insertion starts when
+                                # the access data is back.  The
                                 # relocation work may push the bank's
                                 # busy window past the access, so
                                 # re-read its readiness (inline
@@ -3251,18 +1378,20 @@ class TurboSimulator:
                 # and reschedule the core if it can now make progress.
                 for request in completed:
                     if not request.is_write:
-                        core = cores[request.core_id]
+                        if request.core_id != core_id:
+                            (cost_prefix, instr_prefix, mem_idx, mem_events,
+                             stats_instr_base, stats_mem_base, core,
+                             trace_length, trace_n1, n_mem_events,
+                             outstanding, outstanding_append, mshr_entries,
+                             mshr_get, mshr_capacity, mshr_shift,
+                             block_mask, mshrs, window_size, run_stats,
+                             core_id) = core_ctx[request.core_id]
                         completion_cycle = request.completion_cycle
                         address = request.address
-                        block_mask = core._block_mask
                         block = address & block_mask
-                        outstanding = core._outstanding
                         kept = [miss for miss in outstanding
-                                if (miss.address & block_mask) != block]
+                                if miss.block != block]
                         if len(kept) != len(outstanding):
-                            mshr_entries = core._mshr_entries
-                            mshr_capacity = core._mshr_capacity
-                            window_size = core._window_size
                             issued = core._issued_instructions
                             oldest = outstanding[0]
                             stalled_before = \
@@ -3275,7 +1404,7 @@ class TurboSimulator:
                             # entry must exist (outstanding miss =>
                             # live MSHR).
                             outstanding[:] = kept
-                            del mshr_entries[address >> core._mshr_shift]
+                            del mshr_entries[address >> mshr_shift]
                             if kept:
                                 oldest = kept[0]
                                 can_progress = not (
@@ -3285,40 +1414,27 @@ class TurboSimulator:
                                     >= window_size)
                             else:
                                 can_progress = True
+                            core_cycle = core._core_cycle
                             if can_progress \
-                                    and completion_cycle \
-                                    > core._core_cycle:
-                                stall = completion_cycle \
-                                    - core._core_cycle
+                                    and completion_cycle > core_cycle:
+                                stall = completion_cycle - core_cycle
                                 if stalled_before \
                                         and len(mshr_entries) + 1 \
                                         >= mshr_capacity:
-                                    core.stats.stall_cycles_mshr += stall
+                                    run_stats.stall_cycles_mshr += stall
                                 else:
-                                    core.stats.stall_cycles_window += \
-                                        stall
-                                core._core_cycle = completion_cycle
-                            if not kept and core._next_record \
-                                    >= core._trace_length:
+                                    run_stats.stall_cycles_window += stall
+                                core._core_cycle = core_cycle = \
+                                    completion_cycle
+                            if not kept \
+                                    and core._next_record >= trace_length:
                                 # Inline _retire.
                                 core._finished = True
-                                core.stats.finish_cycle = \
-                                    core._core_cycle
-                            if can_progress and not core._finished:
-                                event = (completion_cycle, seq,
-                                         _CORE_RUN, core)
+                                run_stats.finish_cycle = core_cycle
+                            elif can_progress:
+                                heappush(events, (completion_cycle, seq,
+                                                  _CORE_RUN, core))
                                 seq += 1
-                                bucket_key = \
-                                    completion_cycle >> _BUCKET_SHIFT
-                                if bucket_key == cur_key:
-                                    insort(cur_list, event, cur_ptr)
-                                    cur_len += 1
-                                else:
-                                    bucket = buckets_get(bucket_key)
-                                    if bucket is None:
-                                        buckets[bucket_key] = [event]
-                                    else:
-                                        bucket.append(event)
                     freelist_append(request)
 
             # Trailing wake scheduling (skipped after CORE_RUN, exactly
@@ -3330,215 +1446,14 @@ class TurboSimulator:
             if not wake_pushed and kind != _CONTROLLER_WAKE:
                 continue
             wake_at = None
-            for wakeup_heap, wakeup_get in wake_scan:
-                while wakeup_heap:
-                    head = wakeup_heap[0]
-                    if wakeup_get(head[1]) == head[0]:
+            for scan_heap, scan_get in wake_scan:
+                while scan_heap:
+                    head = scan_heap[0]
+                    if scan_get(head[1]) == head[0]:
                         if wake_at is None or head[0] < wake_at:
                             wake_at = head[0]
                         break
-                    heappop(wakeup_heap)
-            if wake_at is not None:
-                if wake_at < cycle:
-                    wake_at = cycle
-                if scheduled_wake is None or scheduled_wake > wake_at:
-                    scheduled_wake = wake_at
-                    event = (wake_at, seq, _CONTROLLER_WAKE, None)
-                    seq += 1
-                    bucket_key = wake_at >> _BUCKET_SHIFT
-                    if bucket_key == cur_key:
-                        insort(cur_list, event, cur_ptr)
-                        cur_len += 1
-                    else:
-                        bucket = buckets_get(bucket_key)
-                        if bucket is None:
-                            buckets[bucket_key] = [event]
-                        else:
-                            bucket.append(event)
-
-        if __debug__:
-            for (wakeup_heap, wakeup_cycle_map), cc in zip(wakeup_views,
-                                                           ccs):
-                current_heap, current_live = cc.wakeup_view()
-                assert wakeup_heap is current_heap \
-                    and wakeup_cycle_map is current_live, (
-                        "ChannelController rebound its wake-up "
-                        "structures mid-run; the hoisted snapshot went "
-                        "stale (see ChannelController.wakeup_view)")
-        return self._finish(cycle, processed)
-
-    # ------------------------------------------------------------------
-    # Generic multi-channel loop: the reference heap engine plus request
-    # pooling.  Serves as the traced-run path and the fallback for any
-    # controller shape the fused multi-channel loop does not replicate.
-    # ------------------------------------------------------------------
-    def _run_multi_generic(self) -> int:
-        cores = self._cores
-        controller = self._controller
-        channel_controllers = controller.channel_controllers
-        wakeup_views = [cc.wakeup_view() for cc in channel_controllers]
-        route_cache_get = controller._route_cache.get
-        controller_wake = controller.wake
-
-        # Address decode, inlined for route-cache misses (the mixed
-        # multicore traces rarely repeat an address, so nearly every
-        # request pays a full decode).  KEEP IN SYNC with
-        # AddressMapper.decode / AddressMapper.flat_bank and
-        # MemoryController.route.
-        from repro.dram.address import DecodedAddress
-        mapper = controller._device.mapper
-        offset_bits = mapper._offset_bits
-        column_bits = mapper._column_bits
-        column_mask = (1 << column_bits) - 1
-        channel_bits = mapper._channel_bits
-        channel_mask = (1 << channel_bits) - 1
-        bank_bits = mapper._bank_bits
-        bank_mask = (1 << bank_bits) - 1
-        bankgroup_bits = mapper._bankgroup_bits
-        bankgroup_mask = (1 << bankgroup_bits) - 1
-        rank_bits = mapper._rank_bits
-        rank_mask = (1 << rank_bits) - 1
-        rows_per_bank = mapper._rows
-        banks_per_rank = mapper._banks_per_rank
-        banks_per_bankgroup = mapper._banks_per_bankgroup
-        route_cache = controller._route_cache
-        decoded_address = DecodedAddress
-
-        max_cycles = self._limits.max_cycles
-        max_events = self._limits.max_events
-        telemetry = self._telemetry
-        epoch_end = telemetry.next_epoch if telemetry is not None \
-            else max_cycles + 1
-
-        request_ids = _request_ids
-        freelist: list[MemoryRequest] = []
-        freelist_pop = freelist.pop
-        freelist_append = freelist.append
-
-        # Precompile every core's batch-step plan (the cache hierarchy
-        # is cycle-free; see _compile_core_plan).  Core-run events then
-        # go through _step_core, which does one loop iteration per
-        # memory-touching record instead of per trace record.
-        step_core = _step_core
-        core_plans = {core.core_id: _plan_for_core(core)
-                      for core in cores}
-
-        # Ascending (cycle, seq) appends form a valid heap as-is.
-        seq = 0
-        events: list = []
-        for core in cores:
-            events.append((0, seq, _CORE_RUN, core))
-            seq += 1
-        scheduled_wake: int | None = None
-        processed = self.processed_events
-        cycle = 0
-        while events:
-            cycle, _, kind, payload = heappop(events)
-            if cycle > max_cycles or processed >= max_events:
-                self._now = cycle
-                self.processed_events = processed
-                self._raise_limit(cycle)
-            if cycle >= epoch_end:
-                epoch_end = telemetry.advance(cycle)
-            processed += 1
-
-            if kind == _REQUEST_ARRIVAL:
-                address = payload.address
-                entry = route_cache_get(address)
-                if entry is None:
-                    bits = address >> offset_bits
-                    column = bits & column_mask
-                    bits >>= column_bits
-                    channel_index = (bits & channel_mask) if channel_bits \
-                        else 0
-                    bits >>= channel_bits
-                    bank_index = bits & bank_mask
-                    bits >>= bank_bits
-                    bankgroup = bits & bankgroup_mask
-                    bits >>= bankgroup_bits
-                    rank_index = (bits & rank_mask) if rank_bits else 0
-                    bits >>= rank_bits
-                    decoded = decoded_address(channel_index, rank_index,
-                                              bankgroup, bank_index,
-                                              bits % rows_per_bank, column)
-                    flat_bank = (rank_index * banks_per_rank
-                                 + bankgroup * banks_per_bankgroup
-                                 + bank_index)
-                    channel_controller = channel_controllers[channel_index]
-                    route_cache[address] = (decoded, flat_bank,
-                                            channel_controller)
-                    payload.decoded = decoded
-                    payload.flat_bank = flat_bank
-                else:
-                    payload.decoded = entry[0]
-                    payload.flat_bank = entry[1]
-                    channel_controller = entry[2]
-                completed = channel_controller.enqueue(payload, cycle)
-                for request in completed:
-                    if not request.is_write:
-                        core = cores[request.core_id]
-                        completion_cycle = request.completion_cycle
-                        if core.notify_completion(request.address,
-                                                  completion_cycle):
-                            heappush(events, (completion_cycle, seq,
-                                              _CORE_RUN, core))
-                            seq += 1
-                    freelist_append(request)
-            elif kind == _CORE_RUN:
-                issued_requests = step_core(
-                    payload, core_plans[payload.core_id], cycle)
-                if issued_requests:
-                    core_id = payload.core_id
-                    for issue_cycle, address, is_write in issued_requests:
-                        if freelist:
-                            request = freelist_pop()
-                            request.core_id = core_id
-                            request.address = address
-                            request.is_write = is_write
-                            request.arrival_cycle = issue_cycle
-                            request.request_id = next(request_ids)
-                        else:
-                            request = MemoryRequest(core_id, address,
-                                                    is_write, issue_cycle)
-                        heappush(events, (issue_cycle, seq,
-                                          _REQUEST_ARRIVAL, request))
-                        seq += 1
-                continue
-            else:
-                if scheduled_wake is not None and scheduled_wake <= cycle:
-                    scheduled_wake = None
-                next_due = None
-                for heap, live in wakeup_views:
-                    while heap:
-                        head = heap[0]
-                        if live.get(head[1]) == head[0]:
-                            if next_due is None or head[0] < next_due:
-                                next_due = head[0]
-                            break
-                        heappop(heap)
-                if next_due is None:
-                    continue
-                if next_due <= cycle:
-                    woken = controller_wake(cycle)
-                    for request in woken:
-                        if not request.is_write:
-                            core = cores[request.core_id]
-                            completion_cycle = request.completion_cycle
-                            if core.notify_completion(request.address,
-                                                      completion_cycle):
-                                heappush(events, (completion_cycle, seq,
-                                                  _CORE_RUN, core))
-                                seq += 1
-                        freelist_append(request)
-            wake_at = None
-            for heap, live in wakeup_views:
-                while heap:
-                    head = heap[0]
-                    if live.get(head[1]) == head[0]:
-                        if wake_at is None or head[0] < wake_at:
-                            wake_at = head[0]
-                        break
-                    heappop(heap)
+                    heappop(scan_heap)
             if wake_at is not None:
                 if wake_at < cycle:
                     wake_at = cycle
@@ -3546,12 +1461,4 @@ class TurboSimulator:
                     scheduled_wake = wake_at
                     heappush(events, (wake_at, seq, _CONTROLLER_WAKE, None))
                     seq += 1
-
-        if __debug__:
-            for (heap, live), cc in zip(wakeup_views, channel_controllers):
-                current_heap, current_live = cc.wakeup_view()
-                assert heap is current_heap and live is current_live, (
-                    "ChannelController rebound its wake-up structures "
-                    "mid-run; the hoisted snapshot went stale "
-                    "(see ChannelController.wakeup_view)")
         return self._finish(cycle, processed)

@@ -34,8 +34,7 @@ share one compiled record.  ``TimingSet`` is a frozen dataclass, hence
 hashable, which is what makes the content key cheap.
 
 This module is deliberately free of hot-loop state: it is plain data
-compiled from frozen inputs, which also makes it the natural compilation
-unit for the optional mypyc/Cython build (see ``docs/performance.md``).
+compiled from frozen inputs.
 """
 
 from __future__ import annotations

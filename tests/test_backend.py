@@ -5,8 +5,8 @@ Covers the three guarantees the backend layer makes:
 * **Bit-identical physics** — for every mechanism, DRAM standard, and
   telemetry setting exercised here, the ``"turbo"`` backend must produce
   exactly the same :meth:`SimulationResult.to_dict` payload as the
-  reference ``"python"`` loop (single-core fused path *and* the generic
-  multi-core/multi-channel path).
+  reference ``"python"`` loop (single-core *and* multi-core/multi-channel
+  systems, which the turbo backend serves with one fused loop).
 * **Selection precedence** — explicit ``SystemConfig.backend`` beats the
   ``REPRO_SIM_BACKEND`` environment variable, which beats the
   ``"python"`` default; unknown names fail loudly with the list of
@@ -22,6 +22,8 @@ wake-ups.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller.channel_controller import ChannelController
 from repro.experiments.engine import ExperimentScale
@@ -81,7 +83,7 @@ class TestCrossBackendParity:
 
     @pytest.mark.parametrize("configuration", ("Base", "FIGCache-Fast"))
     def test_multicore_parity(self, configuration):
-        """Multi-core mixes exercise the generic (non-fused) turbo loop."""
+        """Multi-core, multi-channel mixes on the fused turbo loop."""
         scale = ExperimentScale.smoke()
         suite = {w.name: w for w in make_workload_suite(
             num_cores=scale.num_cores,
@@ -98,14 +100,41 @@ class TestCrossBackendParity:
         assert results["turbo"] == results["python"]
 
 
+class TestDifferentialParity:
+    """Randomized python == turbo over the system shapes the one turbo
+    loop serves: every configuration and standard, with 1, 2 or 4
+    channels under 1 or 2 cores (one-core/multi-channel and
+    two-core/one-channel systems have no fixed parity case above)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(configuration=st.sampled_from(ALL_CONFIGURATIONS),
+           standard=st.sampled_from(ALL_STANDARDS),
+           channels=st.sampled_from((1, 2, 4)),
+           workloads=st.lists(st.sampled_from(("mcf", "gcc", "lbm",
+                                               "h264ref")),
+                              min_size=1, max_size=2),
+           records=st.integers(min_value=100, max_value=300))
+    def test_turbo_matches_python(self, configuration, standard, channels,
+                                  workloads, records):
+        results = {}
+        for backend in ("python", "turbo"):
+            config = make_system_config(configuration, channels=channels,
+                                        standard=standard, backend=backend)
+            traces = [get_benchmark(name).make_trace(records)
+                      for name in workloads]
+            results[backend] = run_workload(config, traces,
+                                            "+".join(workloads)).to_dict()
+        assert results["turbo"] == results["python"]
+
+
 class TestTracingParity:
     """Tracing must not perturb results, and both backends must emit the
     same event stream (PR 8).
 
-    With a tracer installed the turbo backend leaves its fully-fused
-    single-channel loop for the generic one; these tests pin that the
-    detour is invisible in the results *and* that the recorded DRAM
-    command sequence is identical to the reference loop's.
+    With a tracer installed the turbo backend leaves its fused loop for
+    the reference ``Simulator`` loop; these tests pin that the detour is
+    invisible in the results *and* that the recorded DRAM command
+    sequence is identical to the reference loop's.
     """
 
     @staticmethod
@@ -153,12 +182,11 @@ class TestTracingParity:
         assert traced == baseline
 
     def test_multicore_backends_emit_identical_event_streams(self):
-        """A tracer makes the fused multi-core loop (PR 9) detour too.
+        """A traced multi-core turbo run detours to the reference loop too.
 
-        The detour lands in the reference-compatible generic loop, so a
-        traced multi-core turbo run must match the python backend in both
-        results and the recorded command stream — same guarantee the
-        single-core cases above pin, on the N-channel × M-core path.
+        It must match the python backend in both results and the
+        recorded command stream — the guarantee the single-core cases
+        above pin, on an N-channel × M-core system.
         """
         from repro.sim.tracing import EventTracer
         scale = ExperimentScale.smoke()
@@ -181,6 +209,29 @@ class TestTracingParity:
         assert self._normalized(turbo_tracer.events) == \
             self._normalized(ref_tracer.events)
         assert turbo_tracer.total_events == ref_tracer.total_events
+
+
+class TestSystemLifetime:
+    """A finished system holds no reference cycle, so it is freed as soon
+    as its last reference goes (tag stores included) — peak memory then
+    never depends on when the cyclic collector runs."""
+
+    @pytest.mark.parametrize("backend", ("python", "turbo"))
+    @pytest.mark.parametrize("configuration",
+                             ("Base", "FIGCache-Fast", "LISA-VILLA"))
+    def test_finished_system_leaves_no_cyclic_garbage(self, configuration,
+                                                      backend):
+        import gc
+        config = make_system_config(configuration, channels=2,
+                                    backend=backend)
+        traces = [get_benchmark("mcf").make_trace(PARITY_RECORDS)]
+        gc.collect()
+        gc.disable()
+        try:
+            System(config, traces).run("mcf")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBackendSelection:
@@ -249,8 +300,9 @@ class _RebindingCC(ChannelController):
     Violates the :meth:`ChannelController.wakeup_view` accessor contract
     on purpose: the first ``enqueue()`` call replaces ``_wakeup_heap``
     and ``_wakeup_cycle`` with copies, so the run loop's hoisted snapshot
-    goes stale.  (``enqueue`` is the hook because both event loops call
-    it on every request arrival; ``wake`` is inlined by the hot loops.)
+    goes stale.  (``enqueue`` is the hook because the reference loop calls
+    it on every request arrival, and the turbo backend runs subclassed
+    controllers through that loop; ``wake`` is inlined by the hot loops.)
     Empty ``__slots__`` keeps the layout compatible with the parent so
     instances can be re-classed in place.
     """
@@ -282,11 +334,11 @@ class TestWakeupViewContract:
         assert heap_after is heap_before
         assert live_after is live_before
 
-    # The turbo case uses two channels: its fully-fused single-channel
-    # loop inlines every controller interaction (no enqueue/wake calls),
-    # so only the generic multi-channel loop can observe the subclass.
+    # The turbo backend runs a subclassed controller through the
+    # reference loop, which calls its real ``enqueue``, whatever the
+    # channel count.
     @pytest.mark.parametrize("backend,channels",
-                             (("python", 1), ("turbo", 2)))
+                             (("python", 1), ("turbo", 1), ("turbo", 2)))
     def test_rebinding_controller_fails_loudly(self, backend, channels):
         """A contract violation must crash the run, not corrupt it."""
         system = self._build_system(backend, channels)

@@ -10,8 +10,7 @@ cache's safety properties:
 * configurations whose hierarchies differ never share a plan (while
   DRAM-side-only changes safely do — the plan is CPU-side by
   construction, and the golden/parity suites enforce the physics),
-* the LRU eviction bound is respected,
-* the ``REPRO_TURBO_PLAN_CACHE=0`` opt-out compiles from scratch, and
+* the LRU eviction bound is respected, and
 * the cache is shared across :class:`JobExecutor` batches, which is the
   state a warm sweep worker carries between dispatch chunks.
 """
@@ -145,21 +144,6 @@ class TestEvictionBound:
         again = _run("gcc")  # recompiled, not stale
         assert turbo.plan_cache_stats()["misses"] == 3
         assert again == first
-
-
-class TestOptOut:
-    def test_env_opt_out_compiles_every_run(self, monkeypatch):
-        monkeypatch.setenv(turbo.PLAN_CACHE_ENV, "0")
-        assert not turbo.plan_cache_enabled()
-        first = _run()
-        second = _run()
-        stats = turbo.plan_cache_stats()
-        assert stats["enabled"] is False
-        assert stats["bypasses"] == 2
-        assert stats["compiles"] == 2
-        assert stats["hits"] == 0
-        assert stats["size"] == 0
-        assert second == first
 
 
 class TestExecutorSharing:
