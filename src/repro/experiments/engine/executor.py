@@ -15,9 +15,9 @@ Throughput machinery (what makes sustained sweeps fast):
   reused across every subsequent :meth:`JobExecutor.run` call, so a
   session of figure batches pays pool spin-up once instead of per batch.
   ``close()`` (or using the executor as a context manager) shuts it down.
-* **Per-worker memo** — a process-local cache installed by the worker
-  initializer memoizes trace generation and ``SystemConfig`` construction
-  by the job's :meth:`~SimJob.trace_signature` /
+* **Per-worker memo** — a module-level, process-local cache memoizes
+  trace generation and ``SystemConfig`` construction by the job's
+  :meth:`~SimJob.trace_signature` /
   :meth:`~SimJob.config_signature`, so evaluating six configurations on
   one benchmark generates the benchmark's trace once per worker, not six
   times.  The serial path shares the same memo in the parent process.
@@ -308,21 +308,11 @@ class _Memo:
 
 
 #: The process-local memo.  In the parent process it serves the serial
-#: path; in workers it is (re-)installed by :func:`_init_worker`.
+#: path.  A ``fork``ed worker inherits the parent's memo contents at
+#: pool-creation time (a free warm start); a ``spawn``ed one re-imports
+#: this module and starts empty.  Either way the memo is per-process
+#: afterwards, so workers never contend on shared state.
 _MEMO = _Memo()
-
-
-def _init_worker() -> None:
-    """Worker initializer: install a fresh process-local memo.
-
-    With the default ``fork`` start method the worker inherits the
-    parent's memo contents at pool-creation time (a free warm start); a
-    ``spawn`` context starts empty.  Either way the memo is per-process
-    afterwards, so workers never contend on shared state.
-    """
-    global _MEMO
-    if _MEMO is None:  # pragma: no cover - spawn-context safety net
-        _MEMO = _Memo()
 
 
 def _run_job(job) -> tuple[SimulationResult, float]:
@@ -461,8 +451,8 @@ class JobExecutor:
         #: pickling, scheduling, and cache writes.
         self.sim_cpu_s = 0.0
         #: Worker PIDs that produced results in the most recent parallel
-        #: batch (the parent PID for serial batches).  Lets tests — and
-        #: the bench — verify the pool stays warm across batches.
+        #: batch (the parent PID for serial batches).  Lets tests verify
+        #: the pool stays warm across batches.
         self.last_worker_pids: frozenset[int] = frozenset()
         #: Structured outcome of the most recent :meth:`run` batch.
         self.last_report: BatchReport | None = None
@@ -480,8 +470,7 @@ class JobExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs,
-                                             initializer=_init_worker)
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     def _discard_pool(self, kill: bool = False) -> None:
@@ -645,18 +634,14 @@ class JobExecutor:
                             time.sleep(delay)
                         attempt += 1
                         continue
-                    if policy == "fail_fast":
-                        if tracker is not None:
-                            tracker.job_failed(repr(exc), _describe(job))
-                        raise JobExecutionError(
-                            f"job failed: {_describe(job)}\n"
-                            f"cause: {exc!r}", job=job,
-                            report=report) from exc
                     if tracker is not None:
                         tracker.job_failed(repr(exc), _describe(job))
                     self._record_failure(report, job, key, attempt,
                                          repr(exc),
                                          traceback.format_exc())
+                    if policy == "fail_fast":
+                        raise JobExecutionError.from_report(
+                            report, job=job) from exc
                     break
                 self._record_success(job, key, result, sim_cpu, results)
                 report.executed += 1

@@ -66,28 +66,6 @@ def _run_batch(jobs: dict[tuple, SimJob]) -> dict[tuple, object]:
     return {key: results[job] for key, job in jobs.items()}
 
 
-def figure7_matrix_jobs(scale: ExperimentScale,
-                        configurations=DEFAULT_CONFIGURATIONS,
-                        mix_configurations=("Base", "FIGCache-Fast")
-                        ) -> list[SimJob]:
-    """The figure-7 evaluation matrix as a flat job list.
-
-    Every configuration crossed with the single-core benchmark suite, plus
-    one multiprogrammed mix per ``mix_configurations`` entry so multicore
-    trace generation and event interleaving are represented.  The sweep
-    throughput bench (``python -m repro bench --sweep``) runs this matrix
-    cold through competing executor strategies.
-    """
-    categories = single_core_benchmarks(scale)
-    benchmarks = [b for group in categories.values() for b in group]
-    jobs = [SimJob.single_core(configuration, benchmark, scale)
-            for configuration in configurations for benchmark in benchmarks]
-    for mix in multicore_suite(scale)[:1]:
-        for configuration in mix_configurations:
-            jobs.append(SimJob.multicore(configuration, mix, scale))
-    return jobs
-
-
 def figure7_single_core(scale: ExperimentScale | None = None,
                         configurations=DEFAULT_CONFIGURATIONS) -> dict:
     """Figure 7: single-core speedup over Base per intensity class."""

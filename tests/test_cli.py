@@ -54,27 +54,6 @@ class TestParserRoundTrips:
         assert args.segment_blocks == [8, 32]
         assert args.cache_rows == [64]
 
-    def test_bench_round_trip(self, parser):
-        args = parser.parse_args(["bench", "--quick", "--repeats", "5",
-                                  "--output-dir", "out"])
-        assert args.quick is True
-        assert args.repeats == 5
-        assert args.output_dir == "out"
-        assert args.func is cli._cmd_bench
-
-    def test_bench_sweep_round_trip(self, parser):
-        args = parser.parse_args(["bench", "--sweep", "--sweep-jobs", "1,2",
-                                  "--output-name", "BENCH_pr7"])
-        assert args.sweep is True
-        assert args.sweep_jobs == [1, 2]
-        assert args.output_name == "BENCH_pr7"
-
-    def test_bench_sweep_defaults(self, parser):
-        args = parser.parse_args(["bench"])
-        assert args.sweep is False
-        assert args.sweep_jobs == [1, 2, 4]
-        assert args.output_name is None
-
     def test_timeline_round_trip(self, parser):
         args = parser.parse_args(["timeline", "lbm",
                                   "--configuration", "Base",

@@ -428,6 +428,23 @@ class TestWorkerFailures:
         survivors = ResultCache(tmp_path)
         assert all(survivors.get(job.key()) is not None for job in jobs)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_records_the_failure_on_both_paths(self, jobs):
+        from repro.sim.metrics_export import metrics_snapshot
+
+        with JobExecutor(jobs=jobs) as executor:
+            with pytest.raises(JobExecutionError) as excinfo:
+                executor.run([*_tiny_jobs("gcc"), PoisonJob()])
+            snapshot = metrics_snapshot(executor=executor)
+        assert executor.jobs_failed == 1
+        assert excinfo.value.report.failed == 1
+        assert snapshot["executor"]["jobs_failed"] == 1
+        # Same message shape (and shipped traceback) serial or parallel.
+        message = str(excinfo.value)
+        assert message.startswith("1 job(s) failed (policy fail_fast")
+        assert "this job is poisoned" in message
+        assert excinfo.value.job == PoisonJob()
+
     def test_dead_worker_breaks_pool_but_sweep_is_resumable(self, tmp_path):
         jobs = _tiny_jobs("gcc", "mcf", "lbm", "zeusmp", "libquantum",
                           "bwaves")
