@@ -350,7 +350,6 @@ def _cmd_cache(args) -> int:
         print(f"cache directory : {cache.directory}")
         print(f"entries checked : {report['checked']}")
         print(f"ok              : {report['ok']}")
-        print(f"legacy (no sum) : {report['legacy']}")
         print(f"stale salt      : {report['stale_salt']}")
         print(f"corrupt         : {len(report['corrupt'])}")
         for key in report["corrupt"]:
@@ -372,7 +371,6 @@ def _cmd_cache(args) -> int:
         print(f"disk bytes      : {section['disk_bytes']}")
         print(f"shards          : {section['shards']}")
         print(f"gzip entries    : {section['disk_compressed']}")
-        print(f"legacy entries  : {section['disk_legacy']}")
         print(f"decode failures : {section['decode_failures']}")
         print(f"quarantined     : {section['quarantine_entries']}")
         print(f"salt            : {engine.cache_salt()}")

@@ -9,9 +9,9 @@ incrementally re-runnable work:
 * :mod:`repro.experiments.engine.cache` — :class:`ResultCache`, a
   memory + optional on-disk store of :class:`SimulationResult` objects
   keyed by job digest and salted with the code version.
-* :mod:`repro.experiments.engine.executor` — :class:`JobExecutor` fans
-  cache-missing jobs across worker processes (``ProcessPoolExecutor``)
-  with a deterministic serial fallback.
+* :mod:`repro.experiments.engine.executor` — :class:`JobExecutor` runs
+  cache-missing jobs through one drain loop, in process or fanned across
+  worker processes (``ProcessPoolExecutor``).
 
 The figure runners all submit batches through one process-wide default
 executor, managed here.  ``configure()`` swaps it (the CLI uses this to
@@ -101,7 +101,6 @@ def get_executor() -> JobExecutor:
 
 
 def configure(jobs: int | None = None, cache_dir: str | None = None,
-              compress: bool | str = "auto",
               failure_policy: str | None = None,
               retry: RetryPolicy | None = None,
               watchdog: WatchdogPolicy | None = None) -> JobExecutor:
@@ -116,7 +115,7 @@ def configure(jobs: int | None = None, cache_dir: str | None = None,
     if _default_executor is not None:
         _default_executor.close()
     _default_executor = JobExecutor(
-        cache=ResultCache(cache_dir, compress=compress), jobs=jobs,
+        cache=ResultCache(cache_dir), jobs=jobs,
         failure_policy=failure_policy, retry=retry, watchdog=watchdog)
     return _default_executor
 

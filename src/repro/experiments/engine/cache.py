@@ -8,25 +8,20 @@ in-memory key index — loaded from one directory scan per process — makes
 ``get()`` misses, ``stats()``, and repeated lookups pure memory
 operations instead of per-call filesystem traffic.
 
-Entries written by the original flat layout (``<key>.json`` directly in
-the cache root) remain readable: the index scan picks them up, and
-re-storing a key migrates its entry into the sharded layout.  ``clear()``
-removes both layouts.
-
 Each file records the salt (cache schema version + package version) it was
 written with; entries whose salt no longer matches are treated as misses,
 so a code upgrade invalidates stale results instead of replaying them.
+The salt is checked first, so any entry from another schema version —
+whatever its format — is a plain miss.
 
-Integrity: fresh entries carry a checksum envelope — the byte length and
-SHA-256 of the canonical result JSON — verified on every load.  An entry
-that fails to decode or checksum is *corrupt* (torn write, bit rot), not
-merely stale: the file is moved into ``<cache>/quarantine/`` (preserving
-the evidence while getting it off the lookup path), counters
+Integrity: every entry carries a checksum envelope — the byte length and
+SHA-256 of the canonical result JSON — verified on every load.  A
+current-salt entry that fails to decode, lacks the envelope, or fails
+the checksum is *corrupt* (torn write, bit rot), not merely stale: the
+file is moved into ``<cache>/quarantine/`` (preserving the evidence
+while getting it off the lookup path), counters
 (``decode_failures``/``quarantined``) tick in :meth:`ResultCache.stats`,
 and the caller sees a plain miss, so the job simply re-executes.
-Envelope-less entries written before this scheme remain readable —
-the envelope is versioned inside the payload precisely so its
-introduction did not salt-invalidate every existing shard.
 :meth:`ResultCache.verify` (CLI: ``python -m repro cache verify``) scans
 every shard offline and optionally quarantines what it finds.
 
@@ -55,18 +50,13 @@ from repro.sim.metrics import SimulationResult
 #: Environment variable selecting the default persistent cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Serialized payloads at least this large are gzip-compressed under
-#: ``compress="auto"`` (telemetry-bearing results run to megabytes; plain
-#: results are under a kilobyte and stay human-readable).
+#: Serialized payloads at least this large are gzip-compressed
+#: (telemetry-bearing results run to megabytes; plain results are under a
+#: kilobyte and stay human-readable).
 COMPRESS_MIN_BYTES = 32 * 1024
 
 #: Hex characters of the key used as the shard directory name.
 _SHARD_CHARS = 2
-
-#: Version of the checksum envelope written into fresh entries.  Lives
-#: inside the payload — deliberately *not* part of the cache salt, so
-#: introducing (or evolving) the envelope never invalidates old entries.
-ENVELOPE_VERSION = 1
 
 #: Directory (under the cache root) corrupt shard files are moved into.
 #: Longer than ``_SHARD_CHARS``, so the index scan never looks inside.
@@ -110,8 +100,6 @@ class CacheStats:
     disk_bytes: int = 0
     #: Disk entries stored gzip-compressed.
     disk_compressed: int = 0
-    #: Disk entries still in the pre-sharding flat layout.
-    disk_legacy: int = 0
     #: Loads that failed to decode or checksum (corrupt entries seen).
     decode_failures: int = 0
     #: Corrupt files this cache moved into the quarantine directory.
@@ -136,13 +124,8 @@ def _entry_key(name: str) -> str:
 class ResultCache:
     """Two-level (memory + optional sharded disk) cache of results."""
 
-    def __init__(self, directory: str | Path | None = None,
-                 compress: bool | str = "auto"):
+    def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory is not None else None
-        if compress not in (True, False, "auto"):
-            raise ValueError(f"compress must be True, False or 'auto', "
-                             f"got {compress!r}")
-        self.compress = compress
         self._memory: dict[str, SimulationResult] = {}
         #: key -> (absolute Path, size in bytes); ``None`` until the first
         #: persistent operation triggers the one-time directory scan.
@@ -166,38 +149,24 @@ class ResultCache:
         name = f"{key}.json.gz" if compressed else f"{key}.json"
         return self.directory / key[:_SHARD_CHARS] / name
 
-    def _legacy_path(self, key: str) -> Path:
-        """Where the pre-sharding flat layout stored ``key``."""
-        return self.directory / f"{key}.json"
-
     def _scan_index(self) -> dict[str, tuple[Path, int]]:
-        """One-time directory scan: every entry in either layout.
-
-        Sharded entries win over a legacy flat duplicate of the same key
-        (the flat file is a leftover from before a migration finished).
-        """
+        """One-time directory scan: every entry in every shard."""
         index: dict[str, tuple[Path, int]] = {}
-        legacy: dict[str, tuple[Path, int]] = {}
         try:
             root_entries = list(os.scandir(self.directory))
         except OSError:
             return index
         for entry in root_entries:
-            name = entry.name
-            if entry.is_file() and _is_entry(name):
-                legacy[_entry_key(name)] = (Path(entry.path),
-                                            entry.stat().st_size)
-            elif entry.is_dir() and len(name) == _SHARD_CHARS:
-                try:
-                    shard_entries = list(os.scandir(entry.path))
-                except OSError:
-                    continue
-                for sub in shard_entries:
-                    if sub.is_file() and _is_entry(sub.name):
-                        index[_entry_key(sub.name)] = (Path(sub.path),
-                                                       sub.stat().st_size)
-        for key, value in legacy.items():
-            index.setdefault(key, value)
+            if not (entry.is_dir() and len(entry.name) == _SHARD_CHARS):
+                continue
+            try:
+                shard_entries = list(os.scandir(entry.path))
+            except OSError:
+                continue
+            for sub in shard_entries:
+                if sub.is_file() and _is_entry(sub.name):
+                    index[_entry_key(sub.name)] = (Path(sub.path),
+                                                   sub.stat().st_size)
         return index
 
     def index(self) -> dict[str, tuple[Path, int]]:
@@ -246,14 +215,11 @@ class ResultCache:
         result_dict = result.to_dict()
         canonical = _canonical_result_bytes(result_dict)
         payload = {"salt": cache_salt(), "key": key,
-                   "envelope": ENVELOPE_VERSION,
                    "length": len(canonical),
                    "sha256": hashlib.sha256(canonical).hexdigest(),
                    "result": result_dict}
         data = json.dumps(payload, sort_keys=True).encode("utf-8")
-        compressed = (self.compress is True
-                      or (self.compress == "auto"
-                          and len(data) >= COMPRESS_MIN_BYTES))
+        compressed = len(data) >= COMPRESS_MIN_BYTES
         if compressed:
             data = gzip.compress(data, compresslevel=6)
         plan = faults_mod.active_plan()
@@ -269,18 +235,20 @@ class ResultCache:
         index = self.index()
         old = index.get(key)
         if old is not None and old[0] != path:
-            # Migrate: drop the legacy flat file (or a differently
-            # compressed sharded sibling) the new entry supersedes.
+            # A stale entry for this key stored with the other
+            # compression would otherwise shadow the new one in the
+            # next process's index scan.
             old[0].unlink(missing_ok=True)
         index[key] = (path, len(data))
 
-    def _read_payload(self, path: Path) -> dict:
-        """Read, decode, and checksum-verify one entry file.
+    def _read_entry(self, path: Path) -> SimulationResult | None:
+        """Read and verify one entry file; ``None`` if its salt is stale.
 
         Raises :class:`CorruptEntryError` for anything that is provably
         damage rather than staleness: undecodable bytes (torn write), a
-        non-dict payload, or an envelope whose length/SHA-256 no longer
-        matches the result (bit rot).  ``OSError`` propagates — an
+        non-dict payload, or a current-salt entry whose checksum envelope
+        is missing or no longer matches its result (bit rot), or whose
+        result does not reconstruct.  ``OSError`` propagates — an
         unreadable file is a miss, not corruption.
         """
         data = path.read_bytes()
@@ -293,17 +261,24 @@ class ResultCache:
             raise CorruptEntryError(f"undecodable entry: {exc}") from exc
         if not isinstance(payload, dict):
             raise CorruptEntryError("entry payload is not an object")
-        if payload.get("envelope") is not None:
-            try:
-                canonical = _canonical_result_bytes(payload["result"])
-            except (KeyError, TypeError) as exc:
-                raise CorruptEntryError(
-                    f"enveloped entry has no result: {exc!r}") from exc
-            if (payload.get("length") != len(canonical)
-                    or payload.get("sha256")
-                    != hashlib.sha256(canonical).hexdigest()):
-                raise CorruptEntryError("checksum mismatch")
-        return payload
+        if payload.get("salt") != cache_salt():
+            # Stale, not damaged: a plain miss (the entry is re-stored
+            # with the current salt the next time the job runs).
+            return None
+        try:
+            result_dict = payload["result"]
+            canonical = _canonical_result_bytes(result_dict)
+        except (KeyError, TypeError) as exc:
+            raise CorruptEntryError(f"entry has no result: {exc!r}") from exc
+        if (payload.get("length") != len(canonical)
+                or payload.get("sha256")
+                != hashlib.sha256(canonical).hexdigest()):
+            raise CorruptEntryError("checksum missing or mismatched")
+        try:
+            return SimulationResult.from_dict(result_dict)
+        except (KeyError, TypeError) as exc:
+            raise CorruptEntryError(
+                f"unreconstructable result: {exc!r}") from exc
 
     def _quarantine(self, key: str, path: Path) -> None:
         """Move a corrupt entry into ``<cache>/quarantine/`` and drop it
@@ -332,21 +307,10 @@ class ResultCache:
             return None
         path, _ = entry
         try:
-            payload = self._read_payload(path)
+            return self._read_entry(path)
         except OSError:
             return None
         except CorruptEntryError:
-            self._decode_failures += 1
-            self._quarantine(key, path)
-            return None
-        if payload.get("salt") != cache_salt():
-            # Stale, not damaged: a plain miss (the entry is re-stored
-            # with the current salt the next time the job runs).
-            return None
-        try:
-            return SimulationResult.from_dict(payload["result"])
-        except (KeyError, TypeError):
-            # Current salt but unreconstructable: structural damage.
             self._decode_failures += 1
             self._quarantine(key, path)
             return None
@@ -355,23 +319,14 @@ class ResultCache:
     # Maintenance.
     # ------------------------------------------------------------------
     def clear(self) -> int:
-        """Drop every entry (memory and disk, both layouts); returns
-        distinct entries removed (an entry present in several layers
-        counts once)."""
+        """Drop every entry (memory and disk); returns distinct entries
+        removed (an entry present in several layers counts once)."""
         keys = set(self._memory)
         self._memory.clear()
         if self.directory is not None and self.directory.is_dir():
-            # The scan — not the possibly stale index — drives removal, so
-            # entries written by other processes are cleared too.
-            self._index = None
-            for key, (path, _) in self._scan_index().items():
-                keys.add(key)
-                path.unlink(missing_ok=True)
-            # A finished migration may leave superseded legacy duplicates
-            # the index hid; sweep any stragglers and empty shard dirs.
-            for path in self.directory.glob("*.json"):
-                keys.add(_entry_key(path.name))
-                path.unlink(missing_ok=True)
+            # The shard directories — not the possibly stale index —
+            # drive removal, so entries written by other processes are
+            # cleared too.
             for shard in self.directory.iterdir():
                 if shard.is_dir() and len(shard.name) == _SHARD_CHARS:
                     for path in shard.iterdir():
@@ -389,22 +344,21 @@ class ResultCache:
         """Scan every disk entry; classify, and optionally quarantine.
 
         Returns a report dict: ``checked`` (entries examined), ``ok``
-        (enveloped and checksum-clean), ``legacy`` (readable but written
-        before the checksum envelope), ``stale_salt`` (readable but from
-        another schema/code version), ``corrupt`` (list of damaged keys),
-        and ``quarantined`` (files moved — nonzero only with
-        ``repair=True``; without it corrupt files are left in place so a
-        dry run stays side-effect free).
+        (current salt and checksum-clean), ``stale_salt`` (from another
+        schema/code version), ``corrupt`` (list of damaged keys), and
+        ``quarantined`` (files moved — nonzero only with ``repair=True``;
+        without it corrupt files are left in place so a dry run stays
+        side-effect free).
         """
-        report: dict = {"checked": 0, "ok": 0, "legacy": 0,
-                        "stale_salt": 0, "corrupt": [], "quarantined": 0}
+        report: dict = {"checked": 0, "ok": 0, "stale_salt": 0,
+                        "corrupt": [], "quarantined": 0}
         if not self.persistent:
             return report
         self.refresh_index()
         for key, (path, _) in sorted(self.index().items()):
             report["checked"] += 1
             try:
-                payload = self._read_payload(path)
+                result = self._read_entry(path)
             except OSError:
                 continue  # vanished mid-scan (another process cleaning)
             except CorruptEntryError:
@@ -414,22 +368,7 @@ class ResultCache:
                     self._quarantine(key, path)
                     report["quarantined"] += 1
                 continue
-            if payload.get("salt") != cache_salt():
-                report["stale_salt"] += 1
-                continue
-            try:
-                SimulationResult.from_dict(payload["result"])
-            except (KeyError, TypeError):
-                report["corrupt"].append(key)
-                if repair:
-                    self._decode_failures += 1
-                    self._quarantine(key, path)
-                    report["quarantined"] += 1
-                continue
-            if payload.get("envelope") is None:
-                report["legacy"] += 1
-            else:
-                report["ok"] += 1
+            report["ok" if result is not None else "stale_salt"] += 1
         return report
 
     def stats(self) -> CacheStats:
@@ -446,13 +385,11 @@ class ResultCache:
                            decode_failures=self._decode_failures,
                            quarantined=self._quarantined)
         if self.persistent:
-            for key, (path, size) in self.index().items():
+            for path, size in self.index().values():
                 stats.disk_entries += 1
                 stats.disk_bytes += size
                 if path.name.endswith(".gz"):
                     stats.disk_compressed += 1
-                if path.parent == self.directory:
-                    stats.disk_legacy += 1
             quarantine = self.directory / QUARANTINE_DIR
             if quarantine.is_dir():
                 stats.quarantine_entries = sum(

@@ -1,12 +1,15 @@
-"""Parallel job execution with a warm worker pool and cache-aware batching.
+"""Job execution with a warm worker pool and cache-aware batching.
 
 :class:`JobExecutor` takes batches of :class:`~repro.experiments.engine.spec.SimJob`
 descriptions, answers every job it can from the :class:`ResultCache`, and
-fans the remaining simulations across worker processes with
-``concurrent.futures.ProcessPoolExecutor``.  ``jobs=1`` (the default) is a
-deterministic serial fallback that never spawns processes, and the two
-paths are bit-identical: every simulation is seeded and self-contained, so
-only wall-clock time changes with the worker count.
+runs the remaining simulations through one drain loop.  The loop submits
+chunks of jobs and folds each finished chunk into the results and the
+cache.  With ``jobs=1`` (the default), or when only one job is pending,
+it submits to an in-process dispatcher that runs one single-job chunk per
+loop turn and never spawns a process; otherwise it submits to a
+``concurrent.futures.ProcessPoolExecutor``.  Both ways are bit-identical:
+every simulation is seeded and self-contained, so only wall-clock time
+changes with the worker count.
 
 Throughput machinery (what makes sustained sweeps fast):
 
@@ -20,7 +23,7 @@ Throughput machinery (what makes sustained sweeps fast):
   :meth:`~SimJob.trace_signature` /
   :meth:`~SimJob.config_signature`, so evaluating six configurations on
   one benchmark generates the benchmark's trace once per worker, not six
-  times.  The serial path shares the same memo in the parent process.
+  times.  In-process batches share the same memo in the parent process.
 * **Chunked dispatch** — pending jobs are grouped (same-trace jobs
   adjacent) into roughly ``4 x workers`` chunks per batch, amortizing
   pickling and IPC round-trips over many jobs.
@@ -44,25 +47,28 @@ Reliability machinery (what makes million-job sweeps survive faults):
   exponentially with the attempt number and jitters by a factor derived
   from a SHA-256 of (job key, attempt), so reruns of the same sweep
   wait the same delays: chaos runs are reproducible.
-* **Hung-worker watchdog** — the parallel drain enforces per-chunk soft
+* **Hung-worker watchdog** — the drain loop enforces per-chunk soft
   deadlines derived from an EWMA of observed per-job runtimes (clamped
   to a floor/ceiling; the clock restarts on any batch progress, so
   queue wait behind healthy chunks never trips it).  A timed-out chunk
   is surfaced as a ``chunk-timeout`` progress event, the stuck pool is
   killed and respawned, and the chunk's jobs are resubmitted with a
-  bumped attempt count.
+  bumped attempt count.  In-process chunks run to completion, so the
+  watchdog only guards the pool.
 * **Pool respawn** — a worker death (``BrokenProcessPool``) under a
   retry policy respawns the pool and resubmits only the lost chunks
   (each lost job isolated into its own chunk so a repeat offender only
   takes itself down), within a bounded ``pool_respawn_budget``.  Under
-  ``fail_fast`` the exception propagates exactly as before.
+  ``fail_fast`` the exception propagates.  Past the budget every job
+  still owed a run fails (with a ``job-failed`` event), whether the
+  pool was lost to a worker death or to the watchdog.
 * **Fault injection** — an active :class:`~.faults.FaultPlan` (the
   ``fault_plan=`` argument, :func:`repro.experiments.engine.faults.install_plan`,
   or ``REPRO_FAULT_PLAN``) deterministically trips worker raises/kills/
   hangs so all of the above is test-provable.
 
 The worker count resolves as: explicit ``jobs=`` argument, else the
-``REPRO_JOBS`` environment variable, else 1 (serial).
+``REPRO_JOBS`` environment variable, else 1 (in-process).
 """
 
 from __future__ import annotations
@@ -71,8 +77,9 @@ import hashlib
 import os
 import time
 import traceback
-from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import OrderedDict, deque
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -286,14 +293,8 @@ class _Memo:
     def _get(store: OrderedDict, key, build, cap: int):
         try:
             return store[key]
-        except (KeyError, TypeError):
-            # TypeError: unhashable signature from a duck-typed job —
-            # fall back to building without memoization.
-            value = build()
-            try:
-                store[key] = value
-            except TypeError:
-                return value
+        except KeyError:
+            value = store[key] = build()
             while len(store) > cap:
                 store.popitem(last=False)
             return value
@@ -307,8 +308,8 @@ class _Memo:
         return config, traces
 
 
-#: The process-local memo.  In the parent process it serves the serial
-#: path.  A ``fork``ed worker inherits the parent's memo contents at
+#: The process-local memo.  In the parent process it serves in-process
+#: batches.  A ``fork``ed worker inherits the parent's memo contents at
 #: pool-creation time (a free warm start); a ``spawn``ed one re-imports
 #: this module and starts empty.  Either way the memo is per-process
 #: afterwards, so workers never contend on shared state.
@@ -331,7 +332,7 @@ def _run_job(job) -> tuple[SimulationResult, float]:
 
 
 def _run_chunk(chunk: Sequence[tuple[int, SimJob, int, float]],
-               plan: FaultPlan | None = None):
+               plan: FaultPlan | None = None, in_process: bool = False):
     """Worker entry point: run a chunk of (index, job, attempt, delay)
     items.
 
@@ -345,19 +346,51 @@ def _run_chunk(chunk: Sequence[tuple[int, SimJob, int, float]],
     never pickled — so arbitrary worker failures survive the IPC
     boundary; the parent retries or reports with the job's full
     description.
+
+    ``in_process`` marks a chunk run in the caller's own process: an
+    injected ``exit`` fault raises instead of killing it, and only
+    ``Exception`` is caught, so ``KeyboardInterrupt`` reaches the caller.
     """
+    caught = Exception if in_process else BaseException
     done = []
     for index, job, attempt, delay_s in chunk:
         try:
             if delay_s > 0:
                 time.sleep(delay_s)
-            apply_worker_fault(plan, index, attempt)
+            apply_worker_fault(plan, index, attempt,
+                               allow_exit=not in_process)
             result, sim_cpu = _run_job(job)
-        except BaseException as exc:
+        except caught as exc:
             return os.getpid(), done, (index, repr(exc),
                                        traceback.format_exc())
         done.append((index, result, sim_cpu))
     return os.getpid(), done, None
+
+
+class _InProcessDispatcher:
+    """The slice of ``ProcessPoolExecutor`` the drain loop uses, run in
+    this process: ``submit`` queues a ``Future``; :meth:`step` runs the
+    oldest queued chunk that is still wanted."""
+
+    def __init__(self):
+        self._queue: deque = deque()
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        self._queue.append((future, fn, args))
+        return future
+
+    def step(self) -> set:
+        """Run one queued chunk; returns every future settled on the way
+        (it, plus any cancelled ones skipped before it)."""
+        settled = set()
+        while self._queue:
+            future, fn, args = self._queue.popleft()
+            settled.add(future)
+            if future.set_running_or_notify_cancel():
+                future.set_result(fn(*args))
+                break
+        return settled
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -450,9 +483,9 @@ class JobExecutor:
         #: is the engine's own overhead: trace generation, config builds,
         #: pickling, scheduling, and cache writes.
         self.sim_cpu_s = 0.0
-        #: Worker PIDs that produced results in the most recent parallel
-        #: batch (the parent PID for serial batches).  Lets tests verify
-        #: the pool stays warm across batches.
+        #: PIDs of the processes that ran chunks in the most recent
+        #: batch (the executor's own PID for in-process batches).  Lets
+        #: tests verify the pool stays warm across batches.
         self.last_worker_pids: frozenset[int] = frozenset()
         #: Structured outcome of the most recent :meth:`run` batch.
         self.last_report: BatchReport | None = None
@@ -552,12 +585,7 @@ class JobExecutor:
             tracker.batch_start()
         try:
             if pending:
-                if self.jobs > 1 and len(pending) > 1:
-                    self._run_parallel(pending, results, tracker,
-                                       policy, report, plan)
-                else:
-                    self._run_serial(pending, results, tracker,
-                                     policy, report, plan)
+                self._drain(pending, results, tracker, policy, report, plan)
         finally:
             if tracker is not None:
                 tracker.batch_end()
@@ -566,7 +594,7 @@ class JobExecutor:
         return {job: results[job] for job, _ in ordered if job in results}
 
     def run_one(self, job: SimJob) -> SimulationResult:
-        """Run a single job through the cache (always serial)."""
+        """Run a single job through the cache (always in process)."""
         return self.run([job])[job]
 
     def _finish_report(self, report: BatchReport,
@@ -603,105 +631,76 @@ class JobExecutor:
             error=error, traceback=tb_text))
 
     # ------------------------------------------------------------------
-    # Serial execution.
+    # The drain loop.
     # ------------------------------------------------------------------
-    def _run_serial(self, pending: Sequence[tuple[SimJob, str]],
-                    results: dict,
-                    tracker: BatchProgress | None,
-                    policy: str, report: BatchReport,
-                    plan: FaultPlan | None) -> None:
-        self.last_worker_pids = frozenset((os.getpid(),))
-        max_attempts = 1 if policy == "fail_fast" \
-            else self.retry.max_attempts
-        for index, (job, key) in enumerate(pending):
-            attempt = 1
-            while True:
-                try:
-                    # The serial path runs in this very process, so an
-                    # injected "exit" fault raises instead of killing us.
-                    apply_worker_fault(plan, index, attempt,
-                                       allow_exit=False)
-                    result, sim_cpu = _run_job(job)
-                except Exception as exc:
-                    if attempt < max_attempts:
-                        delay = self.retry.delay_s(key, attempt)
-                        self.retries += 1
-                        report.retries += 1
-                        if tracker is not None:
-                            tracker.job_retried(repr(exc), _describe(job),
-                                                attempt + 1)
-                        if delay > 0:
-                            time.sleep(delay)
-                        attempt += 1
-                        continue
-                    if tracker is not None:
-                        tracker.job_failed(repr(exc), _describe(job))
-                    self._record_failure(report, job, key, attempt,
-                                         repr(exc),
-                                         traceback.format_exc())
-                    if policy == "fail_fast":
-                        raise JobExecutionError.from_report(
-                            report, job=job) from exc
-                    break
-                self._record_success(job, key, result, sim_cpu, results)
-                report.executed += 1
-                self.cache.put(key, result)
-                if tracker is not None:
-                    tracker.job_completed()
-                break
-
-    # ------------------------------------------------------------------
-    # Parallel execution.
-    # ------------------------------------------------------------------
-    def _run_parallel(self, pending: Sequence[tuple[SimJob, str]],
-                      results: dict,
-                      tracker: BatchProgress | None,
-                      policy: str, report: BatchReport,
-                      plan: FaultPlan | None) -> None:
-        # Group same-trace jobs into the same chunk so each worker builds
-        # (or memo-hits) as few distinct traces as possible, then split
-        # into ~CHUNKS_PER_WORKER x workers chunks.  The grouping is a
-        # deterministic reorder of *execution*; returned results are
-        # reassembled by index, so output order never changes.
-        indexed = list(enumerate(pending))
-        indexed.sort(key=lambda item: (_sort_token(item[1][0]), item[0]))
-        tasks = [(index, job) for index, (job, _) in indexed]
-        chunks = _chunked(tasks, CHUNKS_PER_WORKER * self.jobs)
+    def _drain(self, pending: Sequence[tuple[SimJob, str]],
+               results: dict,
+               tracker: BatchProgress | None,
+               policy: str, report: BatchReport,
+               plan: FaultPlan | None) -> None:
+        tasks = [(index, job) for index, (job, _) in enumerate(pending)]
+        in_process = self.jobs == 1 or len(pending) == 1
+        if in_process:
+            # One job per chunk, in submission order: each finished job
+            # is cached before the next one starts.
+            pool = _InProcessDispatcher()
+            chunks = [[task] for task in tasks]
+        else:
+            # Group same-trace jobs into the same chunk so each worker
+            # builds (or memo-hits) as few distinct traces as possible,
+            # then split into ~CHUNKS_PER_WORKER x workers chunks.  The
+            # grouping is a deterministic reorder of *execution*; returned
+            # results are reassembled by index, so output order never
+            # changes.
+            tasks.sort(key=lambda task: (_sort_token(task[1]), task[0]))
+            chunks = _chunked(tasks, CHUNKS_PER_WORKER * self.jobs)
+            spawned = self._pool is None
+            pool = self._ensure_pool()
+            if spawned and tracker is not None:
+                tracker.pool_spawned()
 
         max_attempts = 1 if policy == "fail_fast" \
             else self.retry.max_attempts
-        attempts = {index: 1 for index, _ in tasks}
-        delays = {index: 0.0 for index, _ in tasks}
-        #: In-flight future -> the (index, job) items it is running.
+        attempts = [1] * len(pending)
+        delays = [0.0] * len(pending)
+        #: In-flight future -> (the (index, job) items it is running, its
+        #: watchdog allowance in seconds).
         in_flight: dict = {}
-        #: Watchdog allowance per in-flight future (seconds).
-        allowance: dict = {}
-        pids: set[int] = set()
-        fail_fast_tripped = False
-        last_progress = time.monotonic()
-
-        spawned = self._pool is None
-        pool = self._ensure_pool()
-        if spawned and tracker is not None:
-            tracker.pool_spawned()
-
         #: Items whose submission hit an already-broken pool; picked up
-        #: (and resubmitted to the respawned pool) by handle_broken_pool.
+        #: (and resubmitted to the respawned pool) by lose_pool.
         orphans: list = []
+        pids: set[int] = set()
+        last_progress = time.monotonic()
 
         def submit(items) -> None:
             payload = [(index, job, attempts[index], delays[index])
                        for index, job in items]
             try:
-                future = pool.submit(_run_chunk, payload, plan)
+                future = pool.submit(_run_chunk, payload, plan, in_process)
             except BrokenProcessPool:
                 orphans.extend(items)
                 return
-            in_flight[future] = list(items)
-            allowance[future] = self.watchdog.allowance_s(
-                len(items), self._job_ewma_s)
+            in_flight[future] = (list(items), self.watchdog.allowance_s(
+                len(items), self._job_ewma_s))
             if tracker is not None:
                 tracker.chunk_dispatched(len(items))
+
+        def schedule_retry(index: int, job, error: str) -> None:
+            """Count a retry of ``index`` and schedule its backoff."""
+            delays[index] = self.retry.delay_s(pending[index][1],
+                                               attempts[index])
+            attempts[index] += 1
+            self.retries += 1
+            report.retries += 1
+            if tracker is not None:
+                tracker.job_retried(error, _describe(job), attempts[index])
+
+        def fail(items, error: str, tb_text: str) -> None:
+            for index, job in items:
+                if tracker is not None:
+                    tracker.job_failed(error, _describe(job))
+                self._record_failure(report, job, pending[index][1],
+                                     attempts[index], error, tb_text)
 
         def drain(items, chunk_result) -> list[list]:
             """Fold one finished chunk into results/cache/report.
@@ -711,7 +710,7 @@ class JobExecutor:
             submits them — never this function, because after a pool
             break the resubmission target is a *new* pool.
             """
-            nonlocal fail_fast_tripped, last_progress
+            nonlocal last_progress
             pid, done, failure = chunk_result
             pids.add(pid)
             last_progress = time.monotonic()
@@ -727,139 +726,79 @@ class JobExecutor:
             if failure is None:
                 return []
             failed_index, exc_repr, tb_text = failure
-            job, key = pending[failed_index]
-            # Items after the failed one never ran; they carry no blame.
-            position = next(i for i, (index, _) in enumerate(items)
-                            if index == failed_index)
-            unrun = items[position + 1:]
+            job = pending[failed_index][0]
+            resubmit: list[list] = []
+            if attempts[failed_index] < max_attempts:
+                schedule_retry(failed_index, job, exc_repr)
+                # The retried job gets its own chunk: its backoff sleep
+                # must not delay the innocent unrun items behind it.
+                resubmit.append([(failed_index, job)])
+            else:
+                fail([(failed_index, job)], exc_repr, tb_text)
             if policy == "fail_fast":
-                fail_fast_tripped = True
-                if tracker is not None:
-                    tracker.job_failed(exc_repr, _describe(job))
-                self._record_failure(report, job, key,
-                                     attempts[failed_index],
-                                     exc_repr, tb_text)
                 # Don't start work that can no longer matter; chunks
                 # already running finish and are drained normally.
                 for other in in_flight:
                     other.cancel()
                 return []
-            resubmit: list[list] = []
-            if attempts[failed_index] < max_attempts:
-                delays[failed_index] = self.retry.delay_s(
-                    key, attempts[failed_index])
-                attempts[failed_index] += 1
-                self.retries += 1
-                report.retries += 1
-                if tracker is not None:
-                    tracker.job_retried(exc_repr, _describe(job),
-                                        attempts[failed_index])
-                # The retried job gets its own chunk: its backoff sleep
-                # must not delay the innocent unrun items behind it.
-                resubmit.append([(failed_index, job)])
-            else:
-                if tracker is not None:
-                    tracker.job_failed(exc_repr, _describe(job))
-                self._record_failure(report, job, key,
-                                     attempts[failed_index],
-                                     exc_repr, tb_text)
-            if unrun:
-                resubmit.append(unrun)
+            # Items after the failed one never ran; they carry no blame.
+            position = next(i for i, (index, _) in enumerate(items)
+                            if index == failed_index)
+            if position + 1 < len(items):
+                resubmit.append(items[position + 1:])
             return resubmit
 
-        def fail_lost(lost, cause: str, tb_text: str) -> None:
-            for index, job in lost:
-                self._record_failure(report, job, pending[index][1],
-                                     attempts[index], cause, tb_text)
-                if tracker is not None:
-                    tracker.job_failed(cause, _describe(job))
+        def lose_pool(broken: BaseException | None) -> None:
+            """Recover from losing the pool to a worker death
+            (``broken``) or to the watchdog (``broken is None``).
 
-        def handle_broken_pool(exc: BaseException) -> None:
-            """Drain what survived, then respawn (or re-raise) per policy.
-
-            When a worker dies the pool marks *every* outstanding future
-            broken, so in-flight chunks split cleanly into those that
-            returned a result before the death and those whose work is
-            lost.  Lost jobs are resubmitted one per chunk, so a repeat
-            offender only takes itself down next time.
+            Chunks that returned a result first are drained.  When a
+            worker dies the pool marks *every* other outstanding future
+            broken, so their jobs are lost: each is retried with backoff
+            in its own chunk, so a repeat offender only takes itself
+            down.  The watchdog kills the stalled pool instead: the
+            overdue chunks' jobs are resubmitted one per chunk with a
+            bumped attempt, and the other chunks as they were.  Past the
+            respawn budget, every job still owed a run fails.
             """
+            nonlocal pool, last_progress
+            now = time.monotonic()
             lost: list = list(orphans)
             orphans.clear()
+            overdue: list[list] = []
             resubmit: list[list] = []
-            for future, items in list(in_flight.items()):
+            for future, (items, allowance_s) in list(in_flight.items()):
                 del in_flight[future]
-                allowance.pop(future, None)
                 if future.cancelled():
                     continue
-                try:
-                    chunk_result = future.result(timeout=0)
-                except Exception:
-                    lost.extend(items)
-                    continue
-                resubmit.extend(drain(items, chunk_result))
-            self._discard_pool()
-            if tracker is not None:
-                tracker.pool_broken()
-            if policy == "fail_fast":
-                # Everything drained so far is already in the cache —
-                # that is the resumability guarantee — but the pool is
-                # unusable; the next run() starts a fresh one.
-                self.last_worker_pids = frozenset(pids)
-                raise exc
-            if report.pool_respawns >= self.pool_respawn_budget:
-                cause = "worker pool respawn budget exhausted"
-                fail_lost(lost + [item for chunk in resubmit
-                                  for item in chunk],
-                          cause, cause + "; no worker-side traceback "
-                          "is available\n")
-                return
-            self.pool_respawns += 1
-            report.pool_respawns += 1
-            nonlocal pool
-            pool = self._ensure_pool()
-            if tracker is not None:
-                tracker.pool_respawned()
-            for chunk_items in resubmit:
-                submit(chunk_items)
-            cause = "worker process died (pool respawned)"
-            for index, job in lost:
-                key = pending[index][1]
-                if attempts[index] < max_attempts:
-                    delays[index] = self.retry.delay_s(key,
-                                                       attempts[index])
-                    attempts[index] += 1
-                    self.retries += 1
-                    report.retries += 1
-                    if tracker is not None:
-                        tracker.job_retried(cause, _describe(job),
-                                            attempts[index])
-                    submit([(index, job)])
-                else:
-                    fail_lost([(index, job)], cause,
-                              cause + "; no worker-side traceback is "
-                              "available for a dead worker\n")
-
-        def handle_watchdog() -> None:
-            """Kill the stalled pool; resubmit every in-flight chunk —
-            timed-out ones with a bumped attempt."""
-            now = time.monotonic()
-            overdue, healthy = [], []
-            resubmit: list[list] = []
-            for future, items in list(in_flight.items()):
-                fut_allowance = allowance.pop(
-                    future, self.watchdog.ceiling_s)
-                del in_flight[future]
-                if future.done() and not future.cancelled():
-                    # Completed in the window between wait() and here.
+                if future.done():
                     try:
-                        resubmit.extend(
-                            drain(items, future.result(timeout=0)))
+                        resubmit.extend(drain(items, future.result()))
                         continue
                     except Exception:
-                        pass  # fall through: treat as lost work
-                stalled = now - last_progress >= fut_allowance
-                (overdue if stalled else healthy).append(items)
-            self._discard_pool(kill=True)
+                        pass  # its work died with the pool
+                if broken is not None:
+                    lost.extend(items)
+                elif now - last_progress >= allowance_s:
+                    overdue.append(items)
+                else:
+                    resubmit.append(items)
+            self._discard_pool(kill=broken is None)
+            if broken is not None:
+                if tracker is not None:
+                    tracker.pool_broken()
+                if policy == "fail_fast":
+                    # Everything drained so far is already in the cache —
+                    # that is the resumability guarantee — but the pool
+                    # is unusable; the next run() starts a fresh one.
+                    raise broken
+            timed_out = [item for items in overdue for item in items]
+            if report.pool_respawns >= self.pool_respawn_budget:
+                cause = "worker pool respawn budget exhausted"
+                fail([item for items in resubmit for item in items]
+                     + lost + timed_out, cause,
+                     cause + "; no worker-side traceback is available\n")
+                return
             for items in overdue:
                 self.chunk_timeouts += 1
                 report.chunk_timeouts += 1
@@ -867,23 +806,31 @@ class JobExecutor:
                     tracker.chunk_timeout(len(items))
             self.pool_respawns += 1
             report.pool_respawns += 1
-            nonlocal pool
             pool = self._ensure_pool()
+            # Restart the stall clock: the fresh pool has run nothing yet,
+            # so the time before the loss must not count against it.
+            last_progress = time.monotonic()
             if tracker is not None:
                 tracker.pool_respawned()
-            for items in healthy:
+            for items in resubmit:
                 submit(items)
-            for chunk_items in resubmit:
-                submit(chunk_items)
+            cause = "worker process died (pool respawned)"
+            for index, job in lost:
+                if attempts[index] < max_attempts:
+                    schedule_retry(index, job, cause)
+                    submit([(index, job)])
+                else:
+                    fail([(index, job)], cause,
+                         cause + "; no worker-side traceback is "
+                         "available for a dead worker\n")
             cause = "chunk exceeded the watchdog deadline"
-            for items in overdue:
-                for index, job in items:
-                    if attempts[index] < max_attempts:
-                        attempts[index] += 1
-                        submit([(index, job)])
-                    else:
-                        fail_lost([(index, job)], cause,
-                                  cause + "; the worker was killed\n")
+            for index, job in timed_out:
+                if attempts[index] < max_attempts:
+                    attempts[index] += 1
+                    submit([(index, job)])
+                else:
+                    fail([(index, job)], cause,
+                         cause + "; the worker was killed\n")
 
         for chunk in chunks:
             submit(chunk)
@@ -892,70 +839,54 @@ class JobExecutor:
                 if not in_flight:
                     # Submissions bounced off a broken pool and nothing
                     # is left to drain: respawn and resubmit them.
-                    handle_broken_pool(
+                    lose_pool(
                         BrokenProcessPool("pool broke during resubmission"))
                     continue
-                timeout = None
-                if self.watchdog.enabled:
-                    now = time.monotonic()
-                    next_deadline = min(
-                        last_progress
-                        + allowance.get(future, self.watchdog.ceiling_s)
-                        for future in in_flight)
-                    timeout = max(0.05, next_deadline - now)
-                done, _ = wait(set(in_flight), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
+                if in_process:
+                    # step() reports what it settled, sparing a wait()
+                    # that would scan every queued future once per job.
+                    done = pool.step()
+                else:
+                    timeout = None
+                    if self.watchdog.enabled:
+                        next_deadline = last_progress + min(
+                            allowance_s for _, allowance_s
+                            in in_flight.values())
+                        timeout = max(0.05,
+                                      next_deadline - time.monotonic())
+                    done, _ = wait(set(in_flight), timeout=timeout,
+                                   return_when=FIRST_COMPLETED)
                 broken: BaseException | None = None
                 for future in done:
-                    items = in_flight.pop(future)
-                    allowance.pop(future, None)
                     if future.cancelled():
+                        del in_flight[future]
                         continue
                     try:
-                        for chunk_items in drain(items, future.result()):
-                            submit(chunk_items)
+                        chunk_result = future.result()
                     except BrokenProcessPool as exc:
                         # A worker died (OOM-kill, crash, os._exit); the
-                        # sibling futures are doomed too — handle them
-                        # all at once.
-                        in_flight[future] = items  # hand back for triage
+                        # sibling futures are doomed too — lose_pool
+                        # triages them all, this one included.
                         broken = exc
                         break
+                    items, _ = in_flight.pop(future)
+                    for chunk_items in drain(items, chunk_result):
+                        submit(chunk_items)
                 if broken is not None:
-                    handle_broken_pool(broken)
-                    continue
-                if not done and self.watchdog.enabled:
-                    now = time.monotonic()
-                    if any(now - last_progress
-                           >= allowance.get(future,
-                                            self.watchdog.ceiling_s)
-                           for future in in_flight):
-                        if report.pool_respawns >= self.pool_respawn_budget:
-                            for future, items in list(in_flight.items()):
-                                del in_flight[future]
-                                allowance.pop(future, None)
-                                future.cancel()
-                                for index, job in items:
-                                    self._record_failure(
-                                        report, job, pending[index][1],
-                                        attempts[index],
-                                        "worker pool respawn budget "
-                                        "exhausted (watchdog)",
-                                        "worker pool respawn budget "
-                                        "exhausted after repeated "
-                                        "watchdog kills\n")
-                            self._discard_pool(kill=True)
-                        else:
-                            handle_watchdog()
+                    lose_pool(broken)
+                elif not done and any(
+                        time.monotonic() - last_progress >= allowance_s
+                        for _, allowance_s in in_flight.values()):
+                    # wait() timed out with no progress: a hung worker.
+                    lose_pool(None)
         finally:
             self.last_worker_pids = frozenset(pids)
 
-        if fail_fast_tripped and report.failures:
-            # Raised here (not in _finish_report) to preserve the classic
-            # single-failure message shape plus the full failure list.
+        if policy == "fail_fast" and report.failures:
+            # Raised here (not in _finish_report) to name the failed job
+            # on the exception.
             raise JobExecutionError.from_report(
                 report, job=_job_of_first_failure(report, pending))
-
 
 def _job_of_first_failure(report: BatchReport, pending) -> object | None:
     """The job object behind the report's first failure (for

@@ -9,14 +9,14 @@ against the same batch trips the same faults in the same places.
 
 Fault sites and actions:
 
-``worker`` (applied in the worker process, or the serial path, just
+``worker`` (applied in the worker process, or in process, just
 before a job's simulation runs; matched by the job's index in the
 batch's *pending* list — the deduplicated, cache-missing jobs in
 submission order — and the 1-based attempt number):
 
 * ``raise`` — raise :class:`InjectedFault` (a transient job failure);
 * ``exit``  — ``os._exit(exit_code)``: kill the worker process outright,
-  breaking the pool (the serial path raises :class:`InjectedFault`
+  breaking the pool (an in-process chunk raises :class:`InjectedFault`
   instead of killing the test process);
 * ``sleep`` — sleep ``seconds`` before running (a hung worker, when the
   sleep exceeds the watchdog deadline).
@@ -251,8 +251,8 @@ def apply_worker_fault(plan: FaultPlan | None, index: int, attempt: int,
                        allow_exit: bool = True) -> None:
     """Trip the worker-site fault armed for (``index``, ``attempt``).
 
-    ``allow_exit=False`` (the serial path, which runs in the caller's own
-    process) converts an ``exit`` fault into a raised
+    ``allow_exit=False`` (an in-process chunk, which runs in the caller's
+    own process) converts an ``exit`` fault into a raised
     :class:`InjectedFault` so tests never kill themselves.
     """
     if plan is None:

@@ -21,10 +21,12 @@ Event kinds (the ``kind`` field of every :class:`ProgressEvent`):
     ``cache_hits`` were answered from the result cache and ``pending``
     will actually simulate.
 ``chunk-dispatched``
-    A chunk of jobs was submitted to the worker pool (parallel path).
-``chunk-completed`` / ``job-completed``
-    Work finished and its results were written to the cache: a whole
-    chunk (parallel, carries ``worker_pid``) or one job (serial path).
+    A chunk of jobs was submitted to the worker pool, or queued to run in
+    process (one job per chunk).
+``chunk-completed``
+    A chunk finished and its results were written to the cache;
+    ``worker_pid`` is the process that ran it (the executor's own PID
+    for in-process chunks).
 ``job-failed``
     A job raised and exhausted its attempts; ``error`` carries the
     exception repr and ``job`` the failing job's description.  Emitted
@@ -60,8 +62,10 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
-#: Bump when event fields or kinds change incompatibly.
-PROGRESS_SCHEMA_VERSION = 1
+#: Bump when event fields or kinds change incompatibly.  Version 2
+#: dropped the serial path's per-job completion kind: in-process jobs
+#: report ``chunk-completed``.
+PROGRESS_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,9 @@ class ProgressEvent:
     eta_s: float | None = None
     #: Worker-process count of the executor.
     workers: int = 1
-    #: Chunk ordinal (dispatch/completion events on the parallel path).
+    #: Chunk ordinal (dispatch events).
     chunk: int | None = None
-    #: Jobs in the chunk (chunk events) or completed job count delta.
+    #: Jobs in the chunk (chunk events).
     chunk_size: int | None = None
     #: PID of the worker that produced a completed chunk.
     worker_pid: int | None = None
@@ -263,10 +267,6 @@ class BatchProgress:
     def chunk_completed(self, size: int, worker_pid: int) -> None:
         self.done += size
         self._emit("chunk-completed", chunk_size=size, worker_pid=worker_pid)
-
-    def job_completed(self) -> None:
-        self.done += 1
-        self._emit("job-completed", chunk_size=1)
 
     def job_failed(self, error: str, job_description: str) -> None:
         self._emit("job-failed", error=error, job=job_description)

@@ -31,8 +31,9 @@ from repro.workloads.trace import TraceRecord
 #: cache entries are then ignored instead of being misread.  Version 4:
 #: the telemetry subsystem added ``SystemConfig.telemetry`` (changing
 #: every config digest) and the optional ``telemetry`` section to
-#: serialised results.
-CACHE_SCHEMA_VERSION = 4
+#: serialised results.  Version 5: every entry must carry the checksum
+#: envelope and live in a shard directory.
+CACHE_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)

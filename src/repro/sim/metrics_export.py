@@ -25,8 +25,10 @@ import os
 import platform
 from pathlib import Path
 
-#: Bump when sections or field names change incompatibly.
-METRICS_SCHEMA_VERSION = 1
+#: Bump when sections or field names change incompatibly.  Version 2
+#: dropped the cache section's count of flat-layout entries, along with
+#: that layout.
+METRICS_SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -44,12 +46,11 @@ def host_metrics() -> dict:
 
 
 def cache_metrics(cache) -> dict:
-    """Result-cache traffic, occupancy, and shard-layout breakdown."""
+    """Result-cache traffic, occupancy, and shard count."""
     stats = cache.stats()
     shards = 0
     if cache.persistent:
-        shards = len({path.parent for path, _ in cache.index().values()
-                      if path.parent != cache.directory})
+        shards = len({path.parent for path, _ in cache.index().values()})
     return {
         "directory": str(cache.directory) if cache.persistent else None,
         "persistent": cache.persistent,
@@ -60,7 +61,6 @@ def cache_metrics(cache) -> dict:
         "disk_entries": stats.disk_entries,
         "disk_bytes": stats.disk_bytes,
         "disk_compressed": stats.disk_compressed,
-        "disk_legacy": stats.disk_legacy,
         "decode_failures": stats.decode_failures,
         "quarantined": stats.quarantined,
         "quarantine_entries": stats.quarantine_entries,

@@ -13,7 +13,8 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import engine
-from repro.experiments.engine import (JobExecutionError, JobExecutor,
+from repro.experiments.engine import (PROGRESS_SCHEMA_VERSION,
+                                      JobExecutionError, JobExecutor,
                                       ResultCache, SimJob, cache_salt)
 from repro.experiments.engine.executor import _chunked
 from repro.experiments.engine.spec import ExperimentScale
@@ -210,55 +211,13 @@ class TestResultCache:
         # Nothing lands flat in the cache root any more.
         assert not list(tmp_path.glob("*.json"))
 
-    def test_legacy_flat_entries_remain_readable(self, tmp_path):
+    def test_compressed_entries_round_trip(self, tmp_path, monkeypatch):
+        from repro.experiments.engine import cache as cache_module
+        monkeypatch.setattr(cache_module, "COMPRESS_MIN_BYTES", 0)
         job = SimJob.single_core("Base", "gcc", TINY)
         key = job.key()
         result = job.run()
         cache = ResultCache(tmp_path)
-        cache.put(key, result)
-        # Rewrite the entry in the pre-sharding flat layout.
-        sharded = cache._path(key)
-        flat = tmp_path / f"{key}.json"
-        flat.write_bytes(sharded.read_bytes())
-        sharded.unlink()
-        sharded.parent.rmdir()
-        assert ResultCache(tmp_path).get(key) == result
-
-    def test_put_migrates_legacy_entry_into_shard(self, tmp_path):
-        job = SimJob.single_core("Base", "gcc", TINY)
-        key = job.key()
-        result = job.run()
-        cache = ResultCache(tmp_path)
-        cache.put(key, result)
-        flat = tmp_path / f"{key}.json"
-        flat.write_bytes(cache._path(key).read_bytes())
-        cache._path(key).unlink()
-
-        fresh = ResultCache(tmp_path)
-        assert fresh.stats().disk_legacy == 1
-        fresh.put(key, result)
-        assert not flat.exists()
-        assert fresh._path(key).is_file()
-        assert fresh.stats().disk_legacy == 0
-        assert ResultCache(tmp_path).get(key) == result
-
-    def test_clear_removes_legacy_flat_entries(self, tmp_path):
-        job = SimJob.single_core("Base", "gcc", TINY)
-        key = job.key()
-        cache = ResultCache(tmp_path)
-        cache.put(key, job.run())
-        flat = tmp_path / f"{key}.json"
-        flat.write_bytes(cache._path(key).read_bytes())
-        removed = ResultCache(tmp_path).clear()
-        assert removed == 1  # one distinct key, present in both layouts
-        assert not flat.exists()
-        assert ResultCache(tmp_path).get(key) is None
-
-    def test_compressed_entries_round_trip(self, tmp_path):
-        job = SimJob.single_core("Base", "gcc", TINY)
-        key = job.key()
-        result = job.run()
-        cache = ResultCache(tmp_path, compress=True)
         cache.put(key, result)
         path = tmp_path / key[:2] / f"{key}.json.gz"
         assert path.is_file()
@@ -274,7 +233,7 @@ class TestResultCache:
         job = SimJob.single_core("Base", "gcc", TINY)
         key = job.key()
         result = job.run()
-        cache = ResultCache(tmp_path)  # compress="auto"
+        cache = ResultCache(tmp_path)
         cache.put(key, result)
         assert (tmp_path / key[:2] / f"{key}.json.gz").is_file()
         assert ResultCache(tmp_path).get(key) == result
@@ -305,10 +264,6 @@ class TestResultCache:
         assert reader.stats().disk_entries == 1
         reader.refresh_index()
         assert reader.stats().disk_entries == 2
-
-    def test_rejects_bad_compress_value(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, compress="sometimes")
 
 
 class TestJobExecutor:
@@ -482,7 +437,8 @@ class TestProgressEvents:
     def _events(path):
         lines = path.read_text(encoding="utf-8").splitlines()
         events = [json.loads(line) for line in lines]
-        assert all(event["schema"] == 1 for event in events)
+        assert all(event["schema"] == PROGRESS_SCHEMA_VERSION
+                   for event in events)
         return events
 
     def test_jsonl_stream_for_a_parallel_batch(self, tmp_path):
@@ -551,9 +507,9 @@ class TestProgressEvents:
         executor.run(_tiny_jobs("gcc", "mcf"))
         kinds = [event.kind for event in seen]
         assert kinds[0] == "batch-start" and kinds[-1] == "batch-end"
-        assert kinds.count("job-completed") == 2
-        done = [e.done for e in seen if e.kind == "job-completed"]
-        assert done == [1, 2]
+        completed = [e for e in seen if e.kind == "chunk-completed"]
+        assert [e.done for e in completed] == [1, 2]
+        assert all(e.worker_pid == os.getpid() for e in completed)
 
     def test_stderr_sink_writes_human_lines(self):
         import io

@@ -61,6 +61,16 @@ class PoisonJob:
         return {"kind": "poison", "name": self.name}
 
 
+@dataclasses.dataclass(frozen=True)
+class InterruptJob(PoisonJob):
+    """A job whose materialization is interrupted (Ctrl-C)."""
+
+    name: str = "interrupt"
+
+    def build_config(self):
+        raise KeyboardInterrupt
+
+
 @pytest.fixture(autouse=True)
 def clean_fault_state(monkeypatch):
     """No fault plan leaks in from the environment or a previous test."""
@@ -287,6 +297,18 @@ class TestRetryThenSkip:
                                    failure_policy="retry_then_skip")
             assert len(results) == 1
 
+    def test_in_process_interrupt_is_not_retried_or_skipped(self):
+        with JobExecutor(cache=ResultCache(), jobs=1,
+                         failure_policy="retry_then_skip",
+                         retry=FAST_RETRY) as executor:
+            with pytest.raises(KeyboardInterrupt):
+                executor.run(tiny_jobs("gcc") + [InterruptJob()])
+            assert executor.simulations_executed == 1
+            assert executor.retries == 0
+            assert executor.jobs_failed == 0
+            assert executor.jobs_skipped == 0
+            assert not executor.last_report.failures
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             JobExecutor(cache=ResultCache(), failure_policy="best_effort")
@@ -318,6 +340,30 @@ class TestWatchdog:
         assert report.chunk_timeouts >= 1 and not report.failures
         kinds = [e.kind for e in events]
         assert "chunk-timeout" in kinds and "pool-respawned" in kinds
+
+    def test_watchdog_exhausting_the_respawn_budget_reports_failures(self):
+        jobs = tiny_jobs("gcc", "lbm", "mcf", "bzip2")
+        # Index 3 hangs on every attempt and no respawn is allowed, so
+        # the first watchdog kill fails whatever the pool still owed.
+        plan = FaultPlan(faults=(
+            FaultSpec(site="worker", index=3, action="sleep",
+                      attempts=(), seconds=30.0),))
+        watchdog = WatchdogPolicy(floor_s=0.5, ceiling_s=2.0, factor=4.0)
+        events = []
+        with JobExecutor(cache=ResultCache(), jobs=2,
+                         failure_policy="retry_then_skip",
+                         retry=FAST_RETRY, watchdog=watchdog,
+                         fault_plan=plan,
+                         pool_respawn_budget=0) as executor:
+            executor.progress = CallbackSink(events.append)
+            results = executor.run(jobs)
+            report = executor.last_report
+        assert jobs[3] not in results
+        assert jobs[3].key() in {failure.key for failure in report.failures}
+        assert report.pool_respawns == 0
+        failed = [e.job for e in events if e.kind == "job-failed"]
+        assert sorted(failed) == sorted(failure.description
+                                        for failure in report.failures)
 
     def test_watchdog_allowance_clamps(self):
         policy = WatchdogPolicy(floor_s=10.0, ceiling_s=60.0, factor=8.0)
@@ -440,21 +486,27 @@ class TestCacheIntegrity:
         assert fresh.stats().decode_failures == 1
         assert (tmp_path / "quarantine").is_dir()
 
-    def test_legacy_envelope_less_entry_still_readable(self, tmp_path):
+    def test_envelope_less_entry_is_corrupt_unless_stale(self, tmp_path):
         result = self._result()
-        key = "ef" + "3" * 62
-        shard = tmp_path / key[:2]
+        current = "ef" + "3" * 62
+        stale = "ef" + "8" * 62
+        shard = tmp_path / current[:2]
         shard.mkdir(parents=True)
-        legacy = {"salt": cache_salt(), "key": key,
-                  "result": result.to_dict()}
-        (shard / f"{key}.json").write_text(json.dumps(legacy),
-                                           encoding="utf-8")
+        for key, salt in ((current, cache_salt()), (stale, "0:0.0.0")):
+            bare = {"salt": salt, "key": key, "result": result.to_dict()}
+            (shard / f"{key}.json").write_text(json.dumps(bare),
+                                               encoding="utf-8")
+        report = ResultCache(tmp_path).verify()
+        assert report["corrupt"] == [current]
+        assert report["stale_salt"] == 1 and report["ok"] == 0
         cache = ResultCache(tmp_path)
-        loaded = cache.get(key)
-        assert loaded is not None
-        assert loaded.to_dict() == result.to_dict()
-        report = cache.verify()
-        assert report["legacy"] == 1 and not report["corrupt"]
+        assert cache.get(current) is None
+        assert cache.get(stale) is None
+        stats = cache.stats()
+        assert stats.decode_failures == 1 and stats.quarantined == 1
+        assert [p.name for p in (tmp_path / "quarantine").iterdir()] \
+            == [f"{current}.json"]
+        assert (shard / f"{stale}.json").exists()  # a miss, left in place
 
     def test_verify_reports_and_repairs(self, tmp_path):
         good_key = "aa" + "4" * 62
@@ -475,9 +527,11 @@ class TestCacheIntegrity:
         assert (tmp_path / "quarantine" / f"{bad_key}.json").exists()
         assert fresh.verify()["corrupt"] == []
 
-    def test_gzip_torn_write_detected(self, tmp_path):
+    def test_gzip_torn_write_detected(self, tmp_path, monkeypatch):
+        from repro.experiments.engine import cache as cache_module
+        monkeypatch.setattr(cache_module, "COMPRESS_MIN_BYTES", 0)
         key = "dd" + "6" * 62
-        cache = ResultCache(tmp_path, compress=True)
+        cache = ResultCache(tmp_path)
         cache.put(key, self._result())
         path = tmp_path / key[:2] / f"{key}.json.gz"
         assert path.exists()

@@ -220,7 +220,7 @@ class TestMetricsExport:
         snapshot = metrics_snapshot()
         text = to_prometheus_text(snapshot)
         assert "# TYPE repro_host_cpu_count gauge" in text
-        assert "repro_schema 1" in text
+        assert f"repro_schema {METRICS_SCHEMA_VERSION}" in text
         # Strings never leak into the exposition format.
         assert "python_version" not in text
 
