@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.mechanism import CachingMechanism, ServiceResult
+from repro.core.mechanism import CachingMechanism
 from repro.dram.address import DecodedAddress
 from repro.dram.channel import Channel
 
@@ -27,12 +27,6 @@ class BaseMechanism(CachingMechanism):
                       flat_bank: int) -> int:
         return decoded.row
 
-    def service(self, channel: Channel, now: int, decoded: DecodedAddress,
-                flat_bank: int, is_write: bool) -> ServiceResult:
-        access = channel.access(now, flat_bank, decoded.row, is_write)
-        # ``bank_ready_cycle`` equals the bank's post-access
-        # ``ready_for_next`` (a column access always pushes the column
-        # timer past the busy window), so the bank need not be re-read.
-        return ServiceResult(access.completion_cycle,
-                             access.bank_ready_cycle, access.outcome, None,
-                             access.served_fast, 0)
+    def resolve(self, channel: Channel, decoded: DecodedAddress,
+                flat_bank: int, is_write: bool) -> tuple[int, None]:
+        return decoded.row, None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.mechanism import CachingMechanism, ServiceResult
+from repro.core.mechanism import CachingMechanism
 from repro.dram.address import DecodedAddress
 from repro.dram.channel import Channel
 from repro.dram.config import DRAMConfig
@@ -161,41 +161,33 @@ class LISAVillaMechanism(CachingMechanism):
             return row
         return self._fast_row_base + entry.cache_slot
 
-    def service(self, channel: Channel, now: int, decoded: DecodedAddress,
-                flat_bank: int, is_write: bool) -> ServiceResult:
+    def resolve(self, channel: Channel, decoded: DecodedAddress,
+                flat_bank: int, is_write: bool) -> tuple[int, bool]:
         state = self._banks.get(flat_bank)
         if state is None:
             state = self._bank_state(flat_bank)
         self.stats.cache_lookups += 1
         row = decoded.row
         entry = state.entries.get(row)
+        if entry is None:
+            return row, False
+        self.stats.cache_hits += 1
+        if entry.benefit < self._benefit_max:
+            entry.benefit += 1
+        if is_write:
+            entry.dirty = True
+        # Same source-row preference as effective_row; a write hit always
+        # goes to the cache row, whose copy it dirties.
+        elif not entry.dirty and channel.bank(flat_bank).open_row == row:
+            return row, True
+        return self._fast_row_base + entry.cache_slot, True
 
-        if entry is not None:
-            self.stats.cache_hits += 1
-            if entry.benefit < self._benefit_max:
-                entry.benefit += 1
-            serve_from_source = (not is_write and not entry.dirty
-                                 and channel.bank(flat_bank).open_row == row)
-            if is_write:
-                entry.dirty = True
-            cache_row = row if serve_from_source \
-                else self._fast_row_base + entry.cache_slot
-            access = channel.access(now, flat_bank, cache_row, is_write)
-            # No relocation on a hit, so the access result already carries
-            # the bank's post-access readiness.
-            return ServiceResult(access.completion_cycle,
-                                 access.bank_ready_cycle, access.outcome,
-                                 True, access.served_fast, 0)
-
-        access = channel.access(now, flat_bank, row, is_write)
-        relocation_cycles = self._insert_row(channel, access.completion_cycle,
-                                             flat_bank, state, row,
-                                             dirty=is_write)
-        # The insertion relocation occupies the bank after the access.
-        return ServiceResult(access.completion_cycle,
-                             channel.bank(flat_bank).ready_for_next,
-                             access.outcome, False, access.served_fast,
-                             relocation_cycles)
+    def fill(self, channel: Channel, now: int, decoded: DecodedAddress,
+             flat_bank: int, is_write: bool) -> int:
+        """Insert-on-miss: relocate the whole row into the cache."""
+        return self._insert_row(channel, now, flat_bank,
+                                self._banks[flat_bank], decoded.row,
+                                dirty=is_write)
 
     # ------------------------------------------------------------------
     # Cache management.

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.figaro import FigaroEngine
 from repro.core.insertion import InsertionPolicy, make_insertion_policy
-from repro.core.mechanism import CachingMechanism, ServiceResult
+from repro.core.mechanism import CachingMechanism
 from repro.core.replacement import ReplacementPolicy, make_replacement_policy
 from repro.core.tag_store import FigTagStore
 from repro.dram.address import DecodedAddress
@@ -140,11 +140,6 @@ class FIGCache(CachingMechanism):
         return self._dram
 
     @property
-    def segments_per_cache_row(self) -> int:
-        """Row segments that fit in one cache row."""
-        return self._segments_per_source_row
-
-    @property
     def segments_per_source_row(self) -> int:
         """Row segments per source (regular) DRAM row."""
         return self._segments_per_source_row
@@ -169,92 +164,59 @@ class FIGCache(CachingMechanism):
             (row, decoded.column_block // self._segment_blocks))
         if slot is None:
             return row
-        # Inline _prefer_source_row: clean cached copy + source row open.
+        # Serve a clean cached segment from its source row while that row
+        # is open: the copies are identical, and a row hit beats re-opening
+        # the cache row.  This mainly helps the accesses that follow a
+        # segment's insertion, whose source row the demand miss just opened.
         if not tags._entries[slot].dirty \
                 and channel.bank(flat_bank).open_row == row:
             return row
         return bank_cache.cache_row_ids[slot // tags._segments_per_row]
 
-    def _prefer_source_row(self, channel: Channel, decoded: DecodedAddress,
-                           flat_bank: int, entry) -> bool:
-        """Serve a cached segment from its source row when that row is open.
-
-        The FTS lookup happens when the request is scheduled, at which point
-        the memory controller knows which row the bank has open.  If the
-        original (source) row is still open and the cached copy is clean,
-        the two copies are identical and serving the request as a row hit
-        from the source row is both correct and faster than re-opening the
-        cache row.  This mainly avoids penalising the accesses that follow a
-        segment's insertion, whose source row the demand miss just opened.
-        """
-        if entry.dirty:
-            return False
-        bank = channel.bank(flat_bank)
-        return bank.open_row == decoded.row
-
-    def service(self, channel: Channel, now: int, decoded: DecodedAddress,
-                flat_bank: int, is_write: bool) -> ServiceResult:
-        """Serve one request: hit and miss paths fused for the hot loop."""
+    def resolve(self, channel: Channel, decoded: DecodedAddress,
+                flat_bank: int, is_write: bool) -> tuple[int, bool]:
+        """FTS lookup; a hit bumps benefit and recency (inline
+        :meth:`FigTagStore.touch`) and is redirected to its cache row."""
         bank_cache = self._banks.get(flat_bank)
         if bank_cache is None:
             bank_cache = self._bank_cache(flat_bank)
         tags = bank_cache.tags
         row = decoded.row
-        segment = decoded.column_block // self._segment_blocks
         stats = self.stats
         stats.cache_lookups += 1
+        slot = tags._lookup.get(
+            (row, decoded.column_block // self._segment_blocks))
+        if slot is None:
+            return row, False
+        stats.cache_hits += 1
+        entry = tags._entries[slot]
+        if entry.benefit < tags._benefit_max:
+            entry.benefit += 1
+        tags._touch_counter += 1
+        entry.last_touch = tags._touch_counter
+        if is_write:
+            entry.dirty = True
+        # Same source-row preference as effective_row; a write hit always
+        # goes to the cache row, whose copy it dirties.
+        elif not entry.dirty and channel.bank(flat_bank).open_row == row:
+            return row, True
+        return bank_cache.cache_row_ids[slot // tags._segments_per_row], True
 
-        # Inline FigTagStore.lookup.
-        slot = tags._lookup.get((row, segment))
-        if slot is not None:
-            # --- Hit path -------------------------------------------------
-            entry = tags._entries[slot]
-            stats.cache_hits += 1
-            # Inline FigTagStore.touch (the entry came from a lookup, so it
-            # is valid): bump benefit, recency, and dirtiness.
-            if entry.benefit < tags._benefit_max:
-                entry.benefit += 1
-            tags._touch_counter += 1
-            entry.last_touch = tags._touch_counter
-            if is_write:
-                entry.dirty = True
-            # Inline _prefer_source_row: the source row is still open and
-            # the cached copy is clean, so serve the request as a row hit
-            # from the source row.
-            if not is_write and not entry.dirty \
-                    and channel.bank(flat_bank).open_row == row:
-                target_row = row
-            else:
-                target_row = bank_cache.cache_row_ids[
-                    slot // tags._segments_per_row]
-
-            access = channel.access(now, flat_bank, target_row, is_write)
-            # No relocation on a hit: the access result already carries the
-            # bank's post-access readiness.
-            return ServiceResult(access.completion_cycle,
-                                 access.bank_ready_cycle, access.outcome,
-                                 True, access.served_fast, 0)
-
-        # --- Miss path ----------------------------------------------------
-        access = channel.access(now, flat_bank, row, is_write)
-        relocation_cycles = 0
-
+    def fill(self, channel: Channel, now: int, decoded: DecodedAddress,
+             flat_bank: int, is_write: bool) -> int:
+        """Insertion policy on a miss; the demand access has just opened
+        the source row, so the insertion relocation skips its ACTIVATE."""
+        bank_cache = self._banks[flat_bank]
+        row = decoded.row
+        segment = decoded.column_block // self._segment_blocks
         insertion = bank_cache.insertion
         if (bank_cache.excluded_subarray < 0
                 or self._may_cache(bank_cache, row)) \
                 and (insertion.always_inserts
                      or insertion.should_insert(row, segment)):
-            relocation_cycles = self._insert_segment(
-                channel, access.completion_cycle, flat_bank, bank_cache,
-                row, segment, dirty=is_write)
-            # Relocation work may have pushed the bank's busy window past
-            # the access, so re-read its readiness.
-            bank_busy_until = channel.bank(flat_bank).ready_for_next
-        else:
-            bank_busy_until = access.bank_ready_cycle
-        return ServiceResult(access.completion_cycle, bank_busy_until,
-                             access.outcome, False, access.served_fast,
-                             relocation_cycles)
+            return self._insert_segment(channel, now, flat_bank, bank_cache,
+                                        row, segment, dirty=is_write)
+        return 0
 
     def _insert_segment(self, channel: Channel, now: int, flat_bank: int,
                         bank_cache: _BankCache, source_row: int,

@@ -6,6 +6,27 @@ asks the mechanism to service each scheduled request, and the mechanism
 decides where the request is actually served (original row or an in-DRAM
 cache row), performs any relocations into or out of the cache, and records
 its own hit/miss statistics.
+
+A mechanism's policy lives in three hooks, each the single owner of its
+decision:
+
+* :meth:`~CachingMechanism.effective_row` — the row a queued request would
+  be served from right now, for the FR-FCFS first-ready scan.  It must
+  not mutate any state: the scheduler calls it on candidates it may not
+  pick.
+* :meth:`~CachingMechanism.resolve` — the tag probe of a picked request
+  and its hit bookkeeping (lookup/hit counters, benefit, recency, dirty
+  on a write).  Returns ``(row, hit)``: the row to access, and ``True`` /
+  ``False`` for an in-DRAM cache hit / miss, or ``None`` when the
+  mechanism has no cache.
+* :meth:`~CachingMechanism.fill` — the miss tail, run at the demand
+  access's data-return cycle: insertion, eviction and their relocations.
+  Returns the relocation cycles it spent.
+
+:meth:`CachingMechanism.service` composes them — ``resolve``, the demand
+``Channel.access``, then ``fill`` on a miss — and is the only ``service``
+the shipped mechanisms use, so the turbo backend can call ``resolve`` and
+``fill`` around its own inlined timing chain and stay bit-identical.
 """
 
 from __future__ import annotations
@@ -126,15 +147,39 @@ class CachingMechanism(abc.ABC):
         """
 
     @abc.abstractmethod
+    def resolve(self, channel: Channel, decoded: DecodedAddress,
+                flat_bank: int, is_write: bool) -> tuple[int, bool | None]:
+        """Probe the cache for a picked request and record a hit.
+
+        Returns the row the demand access goes to and whether it hit in
+        the in-DRAM cache (``None`` when the mechanism has no cache).
+        """
+
+    def fill(self, channel: Channel, now: int, decoded: DecodedAddress,
+             flat_bank: int, is_write: bool) -> int:
+        """Miss tail at the data-return cycle ``now``; returns the cycles
+        spent relocating data into (and out of) the cache."""
+        return 0
+
     def service(self, channel: Channel, now: int, decoded: DecodedAddress,
                 flat_bank: int, is_write: bool) -> ServiceResult:
         """Service one scheduled request at cycle ``now``.
 
-        Implementations perform the demand access on ``channel`` (redirected
-        to a cache row on a cache hit) and any relocation work the request
-        triggers, and update their statistics.
+        :meth:`resolve`, the demand access, then (on a miss only)
+        :meth:`fill`.  A hit performs no relocation, so the access result
+        already carries the bank's post-access readiness; after a fill
+        the relocation work may have pushed the bank's busy window past
+        the access, so its readiness is re-read.
         """
-
-    def reset_stats(self) -> None:
-        """Clear accumulated statistics (cache contents are kept)."""
-        self.stats = MechanismStats()
+        row, hit = self.resolve(channel, decoded, flat_bank, is_write)
+        access = channel.access(now, flat_bank, row, is_write)
+        if hit is False:
+            relocation_cycles = self.fill(channel, access.completion_cycle,
+                                          decoded, flat_bank, is_write)
+            return ServiceResult(access.completion_cycle,
+                                 channel.bank(flat_bank).ready_for_next,
+                                 access.outcome, False, access.served_fast,
+                                 relocation_cycles)
+        return ServiceResult(access.completion_cycle,
+                             access.bank_ready_cycle, access.outcome, hit,
+                             access.served_fast, 0)

@@ -84,11 +84,6 @@ class FigTagStore:
         """Number of segment slots per cache row."""
         return self._segments_per_row
 
-    @property
-    def benefit_max(self) -> int:
-        """Saturation value of the benefit counter."""
-        return self._benefit_max
-
     def cache_row_of_slot(self, slot: int) -> int:
         """Cache-row index (0-based within the cache) that holds ``slot``."""
         return slot // self._segments_per_row

@@ -151,11 +151,6 @@ class SetAssociativeCache:
         set_index, block = self._locate(address)
         return block in self._sets[set_index]
 
-    def invalidate(self, address: int) -> bool:
-        """Drop the block holding ``address``; returns True if it was dirty."""
-        set_index, block = self._locate(address)
-        return bool(self._sets[set_index].pop(block, False))
-
     @property
     def hit_rate(self) -> float:
         """Fraction of accesses that hit."""

@@ -21,15 +21,18 @@ three costs of the reference loop:
    enqueue, wake and FR-FCFS scheduling, the DRAM timing chain
    (``Channel.access`` → ``Bank.access`` → ``Bank._activate``, with
    constants from the flat tables of :mod:`repro.sim.turbo_tables`),
-   the FIGCache / LISA-VILLA tag probe, and the core's completion
-   notify are inlined into the loop.  A miss's insertion tail calls the
-   mechanism's own ``_insert_segment`` / ``_insert_row``, so relocation
-   policy stays in one place.  KEEP each inlined block IN SYNC with the
-   source it names; the golden fixtures and the cross-backend parity
-   suite (``tests/test_backend.py``) enforce the equivalence.  Each
-   channel's and each core's hoisted handles form one tuple, unpacked
-   into locals only when the channel or core being served changes —
-   once per run for a single-channel, single-core system.
+   and the core's completion notify are inlined into the loop.  KEEP
+   each inlined block IN SYNC with the source it names; the golden
+   fixtures and the cross-backend parity suite
+   (``tests/test_backend.py``) enforce the equivalence.  Mechanism
+   policy is never copied: the loop calls the channel's FR-FCFS row
+   hook (``ChannelController._row_of``) and the mechanism's own
+   ``resolve`` (tag probe and hit bookkeeping) and ``fill`` (miss
+   tail) around its inlined timing chain, exactly as
+   :meth:`CachingMechanism.service` composes them.  Each channel's and
+   each core's hoisted handles form one tuple, unpacked into locals
+   only when the channel or core being served changes — once per run
+   for a single-channel, single-core system.
 
 3. **Allocation.**  Completed :class:`MemoryRequest` records are pooled
    in a freelist and reused for later arrivals.  A reused request draws
@@ -39,9 +42,10 @@ three costs of the reference loop:
 Every other system shape runs the reference :class:`Simulator` on the
 same cores and controller (:meth:`TurboSimulator._run_reference`): a
 tracer, a ``ChannelController`` subclass, channels that disagree on
-timing tables, drain watermarks or mechanism, and any mechanism besides
-direct access, FIGCache and LISA-VILLA.  The reference loop drives
-those through their real methods, and is bit-identical by contract.
+timing tables or drain watermarks, and a mechanism class that overrides
+:meth:`CachingMechanism.service` (the fused loop could not see its
+policy).  The reference loop drives those through their real methods,
+and is bit-identical by contract.
 
 All state is mutated in place through the objects the reference loop
 uses, so outside observers (telemetry epochs, the end-of-run write
@@ -73,10 +77,9 @@ def _compile_core_plan(core: TraceCore) -> tuple:
     and which victims write back depend only on the access ORDER (LRU
     over the address sequence), never on simulated time — and the core
     executes its trace strictly in order, each record exactly once.  So
-    the whole three-level simulation runs here in one tight pass (the
-    same inline blocks as :meth:`CacheHierarchy.access` — KEEP IN SYNC),
-    and the event loop's core-run handler advances the core with
-    prefix-sum arithmetic instead of per-record work:
+    the whole trace runs through :meth:`CacheHierarchy.access` here in
+    one pass, and the event loop's core-run handler advances the core
+    with prefix-sum arithmetic instead of per-record work:
 
     * ``cost_prefix[i]``  — issue-bandwidth cycles + exposed cache
       latency of records [0, i): a hit run between two memory-touching
@@ -95,39 +98,9 @@ def _compile_core_plan(core: TraceCore) -> tuple:
     safety-limit overruns raise instead of truncating the trace.
     """
     trace = core._trace_fast
-    trace_length = core._trace_length
     next_record = core._next_record
     issued_instructions = core._issued_instructions
-    hier = core.hierarchy
-    fill_lower = hier._fill_lower
-    l1 = hier.l1
-    l1_sets = l1._sets
-    l1_mask = l1._set_mask
-    l1_num_sets = l1._num_sets
-    l1_offset = l1._offset_bits
-    l1_assoc = l1._associativity
-    l1_lat = hier._l1_hit.exposed_latency
-    l2 = hier.l2
-    l2_sets = l2._sets
-    l2_mask = l2._set_mask
-    l2_num_sets = l2._num_sets
-    l2_offset = l2._offset_bits
-    l2_assoc = l2._associativity
-    l2_lat = hier._l2_hit.exposed_latency
-    llc = hier.llc
-    llc_sets = llc._sets
-    llc_mask = llc._set_mask
-    llc_num_sets = llc._num_sets
-    llc_offset = llc._offset_bits
-    llc_assoc = llc._associativity
-    llc_lat = hier._llc_hit.exposed_latency
-    wb_list: list[int] = []
-    # Per-level counters accumulate in locals and flush once after the
-    # pass; _fill_lower keeps incrementing the attributes directly, which
-    # composes because these are pure deltas.
-    l1_hits = l1_misses = l1_writebacks = 0
-    l2_hits = l2_misses = l2_writebacks = 0
-    llc_hits = llc_misses = llc_writebacks = 0
+    access = core.hierarchy.access
 
     cost_prefix = [0] * (next_record + 1)
     cost_append = cost_prefix.append
@@ -139,109 +112,17 @@ def _compile_core_plan(core: TraceCore) -> tuple:
     mem_events_append = mem_events.append
     cost_acc = 0
     instr_acc = issued_instructions
-    for record_index in range(next_record, trace_length):
+    for record_index in range(next_record, core._trace_length):
         issue_cycles, instructions, address, is_write = trace[record_index]
         instr_acc += instructions
         instr_append(instr_acc)
-
-        block = address >> l1_offset
-        cache_set = l1_sets[
-            block & l1_mask if l1_mask is not None
-            else block % l1_num_sets]
-        dirty = cache_set.get(block)
-        if dirty is not None:
-            l1_hits += 1
-            if next(reversed(cache_set)) == block:
-                if is_write and not dirty:
-                    cache_set[block] = True
-            else:
-                del cache_set[block]
-                cache_set[block] = dirty or is_write
-            cost_acc += issue_cycles + l1_lat
-            cost_append(cost_acc)
-            continue
-        l1_misses += 1
-        if len(cache_set) >= l1_assoc:
-            victim_block = next(iter(cache_set))
-            if cache_set.pop(victim_block):
-                l1_writebacks += 1
-                fill_lower(l2, victim_block << l1_offset, True, wb_list)
-        cache_set[block] = is_write
-
-        block = address >> l2_offset
-        cache_set = l2_sets[
-            block & l2_mask if l2_mask is not None
-            else block % l2_num_sets]
-        dirty = cache_set.get(block)
-        if dirty is not None:
-            l2_hits += 1
-            if next(reversed(cache_set)) == block:
-                if is_write and not dirty:
-                    cache_set[block] = True
-            else:
-                del cache_set[block]
-                cache_set[block] = dirty or is_write
-            # An L2 hit absorbs the L1-victim fill's writebacks,
-            # matching the reference model.
-            if wb_list:
-                del wb_list[:]
-            cost_acc += issue_cycles + l2_lat
-            cost_append(cost_acc)
-            continue
-        l2_misses += 1
-        if len(cache_set) >= l2_assoc:
-            victim_block = next(iter(cache_set))
-            if cache_set.pop(victim_block):
-                l2_writebacks += 1
-                fill_lower(llc, victim_block << l2_offset, True, wb_list)
-        cache_set[block] = is_write
-
-        block = address >> llc_offset
-        cache_set = llc_sets[
-            block & llc_mask if llc_mask is not None
-            else block % llc_num_sets]
-        dirty = cache_set.get(block)
-        if dirty is not None:
-            llc_hits += 1
-            if next(reversed(cache_set)) == block:
-                if is_write and not dirty:
-                    cache_set[block] = True
-            else:
-                del cache_set[block]
-                cache_set[block] = dirty or is_write
-            needs_memory = False
-        else:
-            llc_misses += 1
-            if len(cache_set) >= llc_assoc:
-                victim_block = next(iter(cache_set))
-                if cache_set.pop(victim_block):
-                    llc_writebacks += 1
-                    wb_list.append(victim_block << llc_offset)
-            cache_set[block] = is_write
-            needs_memory = True
-        cost_acc += issue_cycles + llc_lat
+        result = access(address, is_write)
+        cost_acc += issue_cycles + result.exposed_latency
         cost_append(cost_acc)
-        if wb_list:
-            wbs = tuple(wb_list)
-            del wb_list[:]
-        else:
-            wbs = ()
-        if needs_memory or wbs:
+        if result.needs_memory or result.writebacks:
             mem_idx_append(record_index)
-            mem_events_append((address, is_write, needs_memory, wbs))
-    l1.hits += l1_hits
-    l1.misses += l1_misses
-    l1.writebacks += l1_writebacks
-    l2.hits += l2_hits
-    l2.misses += l2_misses
-    l2.writebacks += l2_writebacks
-    llc.hits += llc_hits
-    llc.misses += llc_misses
-    llc.writebacks += llc_writebacks
-    # Every LLC probe miss is a memory miss (and vice versa), so the
-    # hierarchy-level counter advances in lockstep with llc.misses.
-    hier.llc_misses += llc_misses
-    hier.accesses += trace_length - next_record
+            mem_events_append((address, is_write, result.needs_memory,
+                               result.writebacks))
 
     # CoreStats flush bases: the stepper assigns absolute values derived
     # from the prefix arrays, so telemetry epoch sampling always reads
@@ -255,18 +136,18 @@ def _compile_core_plan(core: TraceCore) -> tuple:
 # ----------------------------------------------------------------------
 # Process-wide compiled-plan cache.
 #
-# A core's plan is a pure function of its trace contents and its cache-
-# hierarchy geometry + latencies: the compile pass is a deterministic
-# LRU simulation over the address sequence, so two fresh cores with the
-# same (hierarchy, trace) pair always compile to the same prefix arrays
-# and the same counter deltas.  Caching the plan makes the compile pass
-# a one-time cost per (trace, config) instead of a per-run cost — the
-# bench harness reuses its inputs across repeat passes, and the sweep
-# engine's warm workers (see ``repro.experiments.engine.executor``)
-# memoize trace and config objects per worker, so a warm worker that
-# re-simulates a known workload skips plan compilation entirely (the
-# cache is module-level state and therefore survives across the
-# worker's job batches).
+# A core's plan is a pure function of its trace contents and its
+# ``HierarchyConfig`` (geometry + latencies): the compile pass is a
+# deterministic LRU simulation over the address sequence, so two fresh
+# cores with the same (hierarchy config, trace) pair always compile to
+# the same prefix arrays and the same counter deltas.  Caching the plan
+# makes the compile pass a one-time cost per (trace, config) instead of
+# a per-run cost — the bench harness reuses its inputs across repeat
+# passes, and the sweep engine's warm workers (see
+# ``repro.experiments.engine.executor``) memoize trace and config
+# objects per worker, so a warm worker that re-simulates a known
+# workload skips plan compilation entirely (the cache is module-level
+# state and therefore survives across the worker's job batches).
 #
 # On a cache hit the hierarchy's *counters* are replayed onto the fresh
 # core from the recorded deltas; the LRU set contents themselves are
@@ -308,26 +189,6 @@ def clear_plan_cache() -> None:
         _plan_cache_counters[name] = 0
 
 
-def _hierarchy_signature(core: TraceCore) -> tuple:
-    """The hierarchy parameters the compile pass depends on.
-
-    Exactly the fields :func:`_compile_core_plan` hoists: per-level set
-    count, associativity, and offset bits decide hit/miss/writeback
-    sequences; the exposed hit latencies decide the cost prefix.  Two
-    hierarchies agreeing on these compile any trace identically.
-    """
-    hier = core.hierarchy
-    l1 = hier.l1
-    l2 = hier.l2
-    llc = hier.llc
-    return (l1._num_sets, l1._associativity, l1._offset_bits,
-            hier._l1_hit.exposed_latency,
-            l2._num_sets, l2._associativity, l2._offset_bits,
-            hier._l2_hit.exposed_latency,
-            llc._num_sets, llc._associativity, llc._offset_bits,
-            hier._llc_hit.exposed_latency)
-
-
 def _plan_for_core(core: TraceCore) -> tuple:
     """Compiled batch-step plan for ``core``, through the plan cache.
 
@@ -344,7 +205,7 @@ def _plan_for_core(core: TraceCore) -> tuple:
         _plan_cache_counters["bypasses"] += 1
         _plan_cache_counters["compiles"] += 1
         return _compile_core_plan(core)
-    key = (_hierarchy_signature(core), tuple(core._trace_fast))
+    key = (hier.config, tuple(core._trace_fast))
     l1 = hier.l1
     l2 = hier.l2
     llc = hier.llc
@@ -422,7 +283,8 @@ class TurboSimulator:
 
         Every system the fused loop replicates runs :meth:`_run_multi`;
         any other shape (a tracer, a controller subclass, channels that
-        disagree on timing or mechanism) runs the reference loop through
+        disagree on timing tables or drain watermarks, a mechanism with
+        its own ``service``) runs the reference loop through
         :meth:`_run_reference`.
         """
         with interpreter_run_guard():
@@ -480,18 +342,24 @@ class TurboSimulator:
         otherwise returns :meth:`_run_reference` before touching any
         state.
         """
-        from repro.baselines.lisa_villa import LISAVillaMechanism
         from repro.controller.channel_controller import ChannelController
-        from repro.core.figcache import FIGCache
+        from repro.core.mechanism import CachingMechanism
         from repro.dram.address import DecodedAddress
 
         controller = self._controller
         ccs = controller.channel_controllers
         cores = self._cores
+        service = CachingMechanism.service
+        drain_high = ccs[0]._drain_high
+        drain_low = ccs[0]._drain_low
         for cc in ccs:
-            # Traced runs and subclassed controllers (tests,
-            # instrumentation) need the real controller methods.
-            if cc.tracer is not None or type(cc) is not ChannelController:
+            # Traced runs, subclassed controllers (tests, instrumentation)
+            # and mechanisms with their own service need the real
+            # methods; the loop hoists one pair of drain watermarks.
+            if cc.tracer is not None or type(cc) is not ChannelController \
+                    or type(cc.mechanism).service is not service \
+                    or cc._drain_high != drain_high \
+                    or cc._drain_low != drain_low:
                 return self._run_reference()
         channels_l = [cc.channel for cc in ccs]
 
@@ -516,76 +384,19 @@ class TurboSimulator:
         all_fast = tables.all_fast
         regular_rows = tables.regular_rows
 
-        # Mechanism specialisation, uniform across channels: direct
-        # access (no in-DRAM cache), FIGCache, or LISA-VILLA.  Any other
-        # mechanism — or a mix — runs the reference loop.  The kind
-        # selects both the fused service resolution and the inline
-        # ``effective_row`` of the FR-FCFS first-ready scan.
-        mechanisms = [cc.mechanism for cc in ccs]
-        mechanism = mechanisms[0]
-        if all(cc._direct_access and cc._row_of is None for cc in ccs):
-            service_kind = 0
-        elif type(mechanism) is FIGCache:
-            service_kind = 1
-        elif type(mechanism) is LISAVillaMechanism:
-            service_kind = 2
-        else:
-            return self._run_reference()
-        if service_kind and any(type(other) is not type(mechanism)
-                                for other in mechanisms):
-            return self._run_reference()
-        drain_high = ccs[0]._drain_high
-        drain_low = ccs[0]._drain_low
-        for cc in ccs:
-            if cc._drain_high != drain_high or cc._drain_low != drain_low:
-                return self._run_reference()
-
-        # Per-channel mechanism handles (FIGCache's eight, then
-        # LISA-VILLA's four; the other kind's are None), appended to
-        # ``chan_ctx`` below.
-        seg_blocks = segments_per_row = fig_benefit_max = 0
-        lisa_benefit_max = lisa_fast_base = 0
-        mech_ctx = [(None,) * 12] * len(ccs)
-        if service_kind == 1:
-            seg_blocks = mechanism._segment_blocks
-            tags = mechanism._bank_cache(0).tags
-            segments_per_row = tags._segments_per_row
-            fig_benefit_max = tags._benefit_max
-            mech_ctx = []
-            for other, channel in zip(mechanisms, channels_l):
-                caches = [other._bank_cache(index)
-                          for index in range(len(channel._banks))]
-                if other._segment_blocks != seg_blocks \
-                        or caches[0].tags._segments_per_row \
-                        != segments_per_row \
-                        or caches[0].tags._benefit_max != fig_benefit_max:
-                    return self._run_reference()
-                mech_ctx.append((
-                    other.stats, [cache.tags._lookup for cache in caches],
-                    [cache.tags._entries for cache in caches],
-                    [cache.tags for cache in caches],
-                    [cache.cache_row_ids for cache in caches], caches,
-                    other._may_cache, other._insert_segment,
-                    None, None, None, None))
-        elif service_kind == 2:
-            lisa_benefit_max = mechanism._benefit_max
-            lisa_fast_base = mechanism._fast_row_base
-            if any(other._benefit_max != lisa_benefit_max
-                   or other._fast_row_base != lisa_fast_base
-                   for other in mechanisms):
-                return self._run_reference()
-            mech_ctx = [(None,) * 8 + (other.stats, other._banks.get,
-                                      other._bank_state, other._insert_row)
-                        for other in mechanisms]
-
         # Per-channel structure snapshots, indexed by the decoded
         # channel number (ccs order == MemoryController._controllers_tuple
         # order, which the inlined controller fan-out below relies on).
         # Each channel's hoisted handles are one tuple, unpacked into
         # the loop's locals only when the serviced channel changes (so
-        # once per run with one channel).
+        # once per run with one channel).  The mechanism hooks close it:
+        # the FR-FCFS row hook (None when the mechanism never remaps
+        # rows), then ``resolve``/``fill`` (None for direct access, which
+        # the controller serves without the mechanism).
         chan_ctx = []
-        for cc, channel, mech in zip(ccs, channels_l, mech_ctx):
+        for cc, channel in zip(ccs, channels_l):
+            mechanism = cc.mechanism
+            direct = cc._direct_access
             rank_of = channel._rank_of
             counters = channel.counters
             reads_by_bank = cc._reads_by_bank
@@ -598,7 +409,9 @@ class TurboSimulator:
                 counters.track_row_activations, reads_by_bank,
                 reads_by_bank.get, writes_by_bank, writes_by_bank.get,
                 wakeup_heap, wakeup_cycle_map, wakeup_cycle_map.get,
-                cc.read_latencies, cc.write_latencies) + mech)
+                cc.read_latencies, cc.write_latencies, cc._row_of,
+                None if direct else mechanism.resolve,
+                None if direct else mechanism.fill))
         ctx_ci = -1
         wakeup_cycle_l = [ctx[13] for ctx in chan_ctx]
         # (heap, live-map .get) pairs for the per-event wake scans —
@@ -740,10 +553,7 @@ class TurboSimulator:
                      counters, track_rows, reads_by_bank, reads_get,
                      writes_by_bank, writes_get, wakeup_heap,
                      wakeup_cycle_map, wakeup_get, read_latencies,
-                     write_latencies, fig_stats, fig_lookup, fig_entries,
-                     fig_tags, fig_row_ids, fig_caches, fig_may_cache,
-                     fig_insert, lisa_stats, lisa_banks_get, lisa_bank_state,
-                     lisa_insert) = chan_ctx[ci]
+                     write_latencies, row_of, resolve, fill) = chan_ctx[ci]
                 # A read to an idle, free bank takes the queue and the
                 # scheduling block below exactly like any other arrival:
                 # the enqueue fast path's outcome is the sole-candidate
@@ -976,11 +786,8 @@ class TurboSimulator:
                          apply_refresh, counters, track_rows, reads_by_bank,
                          reads_get, writes_by_bank, writes_get, wakeup_heap,
                          wakeup_cycle_map, wakeup_get, read_latencies,
-                         write_latencies, fig_stats, fig_lookup,
-                         fig_entries, fig_tags, fig_row_ids, fig_caches,
-                         fig_may_cache, fig_insert, lisa_stats,
-                         lisa_banks_get, lisa_bank_state,
-                         lisa_insert) = chan_ctx[ci]
+                         write_latencies, row_of, resolve,
+                         fill) = chan_ctx[ci]
                     for flat_bank in due_banks:
                         bank = banks[flat_bank]
                         ready_at = bank._busy_until
@@ -1028,74 +835,17 @@ class TurboSimulator:
                                 request = None
                                 open_row = bank.open_row
                                 if open_row is not None:
-                                    if service_kind == 0:
+                                    if row_of is None:
                                         for cand in candidates:
                                             if cand.decoded.row \
                                                     == open_row:
                                                 request = cand
                                                 break
-                                    elif service_kind == 1:
-                                        # Inline FIGCache.effective_row.
-                                        lookup_get = \
-                                            fig_lookup[flat_bank].get
-                                        entries = \
-                                            fig_entries[flat_bank]
-                                        row_ids = \
-                                            fig_row_ids[flat_bank]
+                                    else:
                                         for cand in candidates:
-                                            cand_decoded = cand.decoded
-                                            cand_row = cand_decoded.row
-                                            slot = lookup_get(
-                                                (cand_row,
-                                                 cand_decoded.column_block
-                                                 // seg_blocks))
-                                            if slot is None:
-                                                effective = cand_row
-                                            elif not entries[slot].dirty \
-                                                    and open_row \
-                                                    == cand_row:
-                                                effective = cand_row
-                                            else:
-                                                effective = row_ids[
-                                                    slot
-                                                    // segments_per_row]
-                                            if effective == open_row:
+                                            if row_of(cand) == open_row:
                                                 request = cand
                                                 break
-                                    else:
-                                        # Inline LISAVillaMechanism
-                                        # .effective_row (a missing bank
-                                        # state means an empty cache).
-                                        state = \
-                                            lisa_banks_get(flat_bank)
-                                        if state is None:
-                                            for cand in candidates:
-                                                if cand.decoded.row \
-                                                        == open_row:
-                                                    request = cand
-                                                    break
-                                        else:
-                                            entries_get = \
-                                                state.entries.get
-                                            for cand in candidates:
-                                                cand_row = \
-                                                    cand.decoded.row
-                                                tag_entry = \
-                                                    entries_get(cand_row)
-                                                if tag_entry is None:
-                                                    effective = cand_row
-                                                elif not tag_entry.dirty \
-                                                        and open_row \
-                                                        == cand_row:
-                                                    effective = cand_row
-                                                else:
-                                                    effective = \
-                                                        lisa_fast_base \
-                                                        + tag_entry \
-                                                        .cache_slot
-                                                if effective == open_row:
-                                                    request = cand
-                                                    break
                                 if request is None:
                                     request = candidates[0]
                             # Inline _dequeue.
@@ -1117,87 +867,21 @@ class TurboSimulator:
                                 queue.remove(request)
                             if not queue:
                                 del index[flat_bank]
-                            # Service: resolve the target row — direct
-                            # access serves the decoded row; an in-DRAM
-                            # cache hit runs its tag bookkeeping inline
-                            # and redirects to the cache row (or the
-                            # still-open source row; a write hit marks
-                            # the entry dirty and always goes to the
-                            # cache row) — then run Channel.access /
-                            # Bank.access / Bank._activate on it (KEEP
-                            # IN SYNC with those, with FIGCache.service
-                            # and LISAVillaMechanism.service, and with
-                            # the completion bookkeeping of
+                            # Service: the mechanism resolves the
+                            # target row (direct access serves the
+                            # decoded row), then Channel.access /
+                            # Bank.access / Bank._activate run on it
+                            # (KEEP IN SYNC with those, with
+                            # CachingMechanism.service, and with the
+                            # completion bookkeeping of
                             # _try_schedule_bank).
                             decoded = request.decoded
-                            insert_kind = 0
-                            if service_kind == 0:
+                            if resolve is None:
                                 row = decoded.row
                                 cache_hit = None
-                            elif service_kind == 1:
-                                src_row = decoded.row
-                                segment = \
-                                    decoded.column_block // seg_blocks
-                                slot = fig_lookup[flat_bank].get(
-                                    (src_row, segment))
-                                if slot is None:
-                                    # Fused miss: serve the source row
-                                    # through the timing block below;
-                                    # the insertion tail runs after it.
-                                    fig_stats.cache_lookups += 1
-                                    row = src_row
-                                    cache_hit = False
-                                    insert_kind = 1
-                                else:
-                                    fig_stats.cache_lookups += 1
-                                    fig_stats.cache_hits += 1
-                                    tag_entry = \
-                                        fig_entries[flat_bank][slot]
-                                    if tag_entry.benefit \
-                                            < fig_benefit_max:
-                                        tag_entry.benefit += 1
-                                    tags = fig_tags[flat_bank]
-                                    tags._touch_counter += 1
-                                    tag_entry.last_touch = \
-                                        tags._touch_counter
-                                    if is_write:
-                                        tag_entry.dirty = True
-                                        row = fig_row_ids[flat_bank][
-                                            slot // segments_per_row]
-                                    elif not tag_entry.dirty \
-                                            and bank.open_row == src_row:
-                                        row = src_row
-                                    else:
-                                        row = fig_row_ids[flat_bank][
-                                            slot // segments_per_row]
-                                    cache_hit = True
                             else:
-                                src_row = decoded.row
-                                state = lisa_banks_get(flat_bank)
-                                tag_entry = None if state is None \
-                                    else state.entries.get(src_row)
-                                if tag_entry is None:
-                                    lisa_stats.cache_lookups += 1
-                                    row = src_row
-                                    cache_hit = False
-                                    insert_kind = 2
-                                else:
-                                    lisa_stats.cache_lookups += 1
-                                    lisa_stats.cache_hits += 1
-                                    if tag_entry.benefit \
-                                            < lisa_benefit_max:
-                                        tag_entry.benefit += 1
-                                    if is_write:
-                                        tag_entry.dirty = True
-                                        row = lisa_fast_base \
-                                            + tag_entry.cache_slot
-                                    elif not tag_entry.dirty \
-                                            and bank.open_row == src_row:
-                                        row = src_row
-                                    else:
-                                        row = lisa_fast_base \
-                                            + tag_entry.cache_slot
-                                    cache_hit = True
+                                row, cache_hit = resolve(
+                                    channel, decoded, flat_bank, is_write)
                             rank = rank_of[flat_bank]
                             if refresh_on \
                                     and cycle >= rank.next_refresh_due:
@@ -1311,50 +995,18 @@ class TurboSimulator:
                             request.in_dram_cache_hit = cache_hit
                             request.row_buffer_outcome = outcome
                             request.served_fast = served_fast
-                            if insert_kind:
-                                # Inline FIGCache.service /
-                                # LISAVillaMechanism.service miss tails
-                                # (KEEP IN SYNC): insertion starts when
-                                # the access data is back.  The
-                                # relocation work may push the bank's
-                                # busy window past the access, so
-                                # re-read its readiness (inline
-                                # Bank.ready_for_next) for the wake
-                                # scheduled below.
-                                if insert_kind == 1:
-                                    bank_cache = fig_caches[flat_bank]
-                                    insertion = bank_cache.insertion
-                                    if (bank_cache.excluded_subarray
-                                            < 0
-                                            or fig_may_cache(
-                                                bank_cache, src_row)) \
-                                            and (insertion
-                                                 .always_inserts
-                                                 or insertion
-                                                 .should_insert(
-                                                     src_row,
-                                                     segment)):
-                                        fig_insert(
-                                            channel, completion,
-                                            flat_bank, bank_cache,
-                                            src_row, segment,
-                                            dirty=is_write)
-                                        busy = bank._busy_until
-                                        nca = bank._next_col_allowed
-                                        ready_at = busy \
-                                            if busy > nca else nca
-                                else:
-                                    if state is None:
-                                        state = lisa_bank_state(
-                                            flat_bank)
-                                    lisa_insert(channel, completion,
-                                                flat_bank, state,
-                                                src_row,
-                                                dirty=is_write)
-                                    busy = bank._busy_until
-                                    nca = bank._next_col_allowed
-                                    ready_at = busy \
-                                        if busy > nca else nca
+                            if cache_hit is False:
+                                # The miss tail starts when the access
+                                # data is back.  Its relocation work may
+                                # push the bank's busy window past the
+                                # access, so re-read its readiness
+                                # (inline Bank.ready_for_next) for the
+                                # wake scheduled below.
+                                fill(channel, completion, decoded,
+                                     flat_bank, is_write)
+                                busy = bank._busy_until
+                                nca = bank._next_col_allowed
+                                ready_at = busy if busy > nca else nca
                             request.issue_cycle = cycle
                             request.completion_cycle = completion
                             latency = completion - request.arrival_cycle

@@ -26,11 +26,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller.channel_controller import ChannelController
+from repro.core.figcache import FIGCache
+from repro.core.replacement import available_replacement_policies
 from repro.experiments.engine import ExperimentScale
 from repro.sim.backend import (BACKEND_ENV_VAR, DEFAULT_BACKEND,
                                backend_names, resolve_backend)
 from repro.sim.config import config_digest, make_system_config
 from repro.sim.system import System, run_workload
+from repro.sim.turbo import TurboSimulator
 from repro.workloads.catalog import get_benchmark
 from repro.workloads.multiprogram import make_workload_suite
 
@@ -104,7 +107,10 @@ class TestDifferentialParity:
     """Randomized python == turbo over the system shapes the one turbo
     loop serves: every configuration and standard, with 1, 2 or 4
     channels under 1 or 2 cores (one-core/multi-channel and
-    two-core/one-channel systems have no fixed parity case above)."""
+    two-core/one-channel systems have no fixed parity case above), and
+    the FIGCache knobs of the figure 12-15 sweeps.  Every knob value
+    drawn is valid on all six standards; every FIGCache variant reaches
+    the fused loop only through the mechanism's ``resolve``/``fill``."""
 
     @settings(max_examples=25, deadline=None)
     @given(configuration=st.sampled_from(ALL_CONFIGURATIONS),
@@ -113,17 +119,84 @@ class TestDifferentialParity:
            workloads=st.lists(st.sampled_from(("mcf", "gcc", "lbm",
                                                "h264ref")),
                               min_size=1, max_size=2),
-           records=st.integers(min_value=100, max_value=300))
+           records=st.integers(min_value=100, max_value=300),
+           segment_blocks=st.sampled_from((8, 16, 32)),
+           cache_rows_per_bank=st.sampled_from((32, 64, 128)),
+           replacement_policy=st.sampled_from(
+               available_replacement_policies()),
+           insertion_threshold=st.sampled_from((1, 2)))
     def test_turbo_matches_python(self, configuration, standard, channels,
-                                  workloads, records):
+                                  workloads, records, segment_blocks,
+                                  cache_rows_per_bank, replacement_policy,
+                                  insertion_threshold):
         results = {}
         for backend in ("python", "turbo"):
-            config = make_system_config(configuration, channels=channels,
-                                        standard=standard, backend=backend)
+            config = make_system_config(
+                configuration, channels=channels, standard=standard,
+                segment_blocks=segment_blocks,
+                cache_rows_per_bank=cache_rows_per_bank,
+                replacement_policy=replacement_policy,
+                insertion_threshold=insertion_threshold, backend=backend)
             traces = [get_benchmark(name).make_trace(records)
                       for name in workloads]
             results[backend] = run_workload(config, traces,
                                             "+".join(workloads)).to_dict()
+        assert results["turbo"] == results["python"]
+
+
+class _ServiceOverridingFIGCache(FIGCache):
+    """A FIGCache whose ``service`` is its own: the fused loop only sees
+    ``resolve``/``fill``, so it must leave such a mechanism to the
+    reference loop."""
+
+    def service(self, channel, now, decoded, flat_bank, is_write):
+        return super().service(channel, now, decoded, flat_bank, is_write)
+
+
+class TestFusedLoopSelection:
+    """Which loop runs: every shipped mechanism takes the fused loop,
+    and a mechanism that overrides ``service`` takes the reference one."""
+
+    @staticmethod
+    def _system(configuration: str, channels: int, backend: str) -> System:
+        config = make_system_config(configuration, channels=channels,
+                                    backend=backend)
+        traces = [get_benchmark("mcf").make_trace(PARITY_RECORDS)]
+        return System(config, traces)
+
+    @pytest.mark.parametrize("channels", (1, 4))
+    @pytest.mark.parametrize("configuration",
+                             ("FIGCache-Slow", "FIGCache-Fast",
+                              "FIGCache-Ideal", "LISA-VILLA"))
+    def test_shipped_mechanisms_run_fused(self, configuration, channels,
+                                          monkeypatch):
+        reference = self._system(configuration, channels, "python").run()
+
+        def forbidden(simulator):
+            raise AssertionError("turbo fell back to the reference loop")
+
+        monkeypatch.setattr(TurboSimulator, "_run_reference", forbidden)
+        turbo = self._system(configuration, channels, "turbo").run()
+        assert turbo.to_dict() == reference.to_dict()
+
+    @pytest.mark.parametrize("channels", (1, 4))
+    def test_service_override_takes_the_reference_loop(self, channels,
+                                                       monkeypatch):
+        fallbacks = []
+        run_reference = TurboSimulator._run_reference
+
+        def recording(simulator):
+            fallbacks.append(simulator)
+            return run_reference(simulator)
+
+        monkeypatch.setattr(TurboSimulator, "_run_reference", recording)
+        results = {}
+        for backend in ("python", "turbo"):
+            system = self._system("FIGCache-Fast", channels, backend)
+            for cc in system.controller.channel_controllers:
+                cc.mechanism.__class__ = _ServiceOverridingFIGCache
+            results[backend] = system.run().to_dict()
+        assert len(fallbacks) == 1
         assert results["turbo"] == results["python"]
 
 

@@ -3,7 +3,7 @@
 The turbo backend compiles each core's trace into prefix arrays once per
 run (:func:`repro.sim.turbo._compile_core_plan`) and memoizes the result
 in a process-wide LRU keyed by everything the compile pass depends on:
-the cache-hierarchy signature and the trace itself.  These tests pin the
+the core's ``HierarchyConfig`` and the trace itself.  These tests pin the
 cache's safety properties:
 
 * repeated runs reuse plans and stay bit-identical,
