@@ -10,17 +10,18 @@ import pytest
 from repro.experiments import ExperimentScale, format_table, engine
 
 
-@pytest.fixture(scope="module", autouse=True)
+@pytest.fixture(scope="session", autouse=True)
 def isolated_result_cache():
-    """Give every benchmark module a fresh, memory-only experiment engine.
+    """Give the benchmark session one fresh, memory-only experiment engine.
 
-    An explicitly memory-only executor (cache_dir=None) guarantees one
-    figure module can never observe — or be timed against — results cached
-    by another, even when ``REPRO_CACHE_DIR`` points at a warm persistent
-    cache in the surrounding environment.  Within a module, jobs still
-    share the cache, which is what the figure runners rely on.  The
-    teardown restores the environment-configured default for whatever runs
-    after the harness.
+    An explicitly memory-only executor (cache_dir=None) guarantees the
+    figures never observe results cached outside the session, even when
+    ``REPRO_CACHE_DIR`` points at a warm persistent cache in the
+    surrounding environment.  The figure modules share the engine, so a
+    job one figure already simulated (figures 9-11 re-evaluate the jobs
+    of figures 7 and 8) is a cache hit for the next.  The teardown
+    restores the environment-configured default for whatever runs after
+    the harness.
     """
     engine.configure(cache_dir=None)
     yield

@@ -11,16 +11,25 @@ Table 1 front-end constraints:
 * at most ``mshr_entries`` cache-block misses may be outstanding at once.
 
 Cache hits are (mostly) hidden by out-of-order execution; only LLC misses
-interact with the memory system.  The model is event-driven: the simulator
-calls :meth:`TraceCore.run` to let the core issue work until it must stall
-or finishes, and :meth:`TraceCore.notify_completion` when one of its memory
-requests completes.
+interact with the memory system.  The model is event-driven: every
+simulation backend calls :meth:`TraceCore.run_requests` to let the core
+issue work until it must stall or finishes, and
+:meth:`TraceCore.notify_completion` when one of its memory reads
+completes.  These two methods are the only core stepper and the only
+completion handler; no event loop carries a copy.
+
+The cache hierarchy is cycle-free, so the core does not simulate it record
+by record: on its first run the trace is compiled once into prefix arrays
+(:func:`_compile_core_plan`, memoized by the process-wide plan cache), and
+the core advances to its next memory event with a ``bisect`` and a
+subtraction instead of per-record work.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from repro.cpu.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cpu.mshr import MSHRFile
@@ -76,76 +85,185 @@ class CoreStats:
 class _OutstandingMiss:
     """A load miss the core is still waiting on."""
 
-    address: int
+    #: The missing address masked to its L1 block; completions match on it.
+    block: int
     #: Instruction count (position in program order) at which it was issued.
     instruction_position: int
     #: True when the window cannot retire past this miss (demand loads).
     blocks_window: bool
-    #: ``address`` masked to its cache block (``address & _block_mask``).
-    #: The reference loop matches completions by masking ``address`` on the
-    #: fly; the turbo backend precomputes the block at allocation so its
-    #: completion scan is a single field compare.  Defaults to -1 (unset)
-    #: for entries built by the reference path, which never reads it.
-    block: int = -1
 
 
-class IssuedRequest(NamedTuple):
-    """A memory request the core wants to send, with its issue time.
+def _compile_core_plan(core: TraceCore) -> tuple:
+    """Precompute one core's cache simulation into a batch-step plan.
 
-    A named tuple: one is created per memory request on the issue hot
-    path, and the simulator unpacks it positionally.
+    The cache hierarchy is cycle-free: which accesses hit, which miss,
+    and which victims write back depend only on the access ORDER (LRU
+    over the address sequence), never on simulated time — and the core
+    executes its trace strictly in order, each record exactly once.  So
+    the whole trace runs through :meth:`CacheHierarchy.access` here in
+    one pass, and :meth:`TraceCore.run_requests` advances the core with
+    prefix-sum arithmetic instead of per-record work:
+
+    * ``cost_prefix[i]``  — issue-bandwidth cycles + exposed cache
+      latency of records [0, i): a hit run between two memory-touching
+      records advances ``core_cycle`` with one subtraction;
+    * ``instr_prefix[i]`` — instructions issued by records [0, i):
+      ``issued_instructions`` is a pure function of the record index,
+      so window-stall points fall out of one bisect over this array;
+    * ``mem_idx``/``mem_events`` — the sparse records that touch memory
+      (an LLC miss and/or dirty victim writebacks), as
+      ``(address, is_write, needs_memory, writebacks)`` tuples.
+
+    The plan always starts at record 0 of a fresh core.  Hierarchy state
+    and counters reach their end-of-run values up front, which is
+    unobservable: nothing reads them mid-run (the telemetry layer samples
+    only ``CoreStats``, which the stepper keeps current), and
+    safety-limit overruns raise instead of truncating the trace.
     """
+    access = core.hierarchy.access
+    cost_prefix = [0]
+    cost_append = cost_prefix.append
+    instr_prefix = [0]
+    instr_append = instr_prefix.append
+    mem_idx: list[int] = []
+    mem_events: list[tuple] = []
+    cost_acc = 0
+    instr_acc = 0
+    for record_index, (issue_cycles, instructions, address, is_write) \
+            in enumerate(core._trace_fast):
+        instr_acc += instructions
+        instr_append(instr_acc)
+        result = access(address, is_write)
+        cost_acc += issue_cycles + result.exposed_latency
+        cost_append(cost_acc)
+        if result.needs_memory or result.writebacks:
+            mem_idx.append(record_index)
+            mem_events.append((address, is_write, result.needs_memory,
+                               result.writebacks))
+    return cost_prefix, instr_prefix, mem_idx, mem_events
 
-    issue_cycle: int
-    address: int
-    is_write: bool
+
+# ----------------------------------------------------------------------
+# Process-wide compiled-plan cache.
+#
+# A core's plan is a pure function of its trace contents and its
+# ``HierarchyConfig`` (geometry + latencies): the compile pass is a
+# deterministic LRU simulation over the address sequence, so two fresh
+# cores with the same (hierarchy config, trace) pair always compile to
+# the same prefix arrays and the same counter deltas.  Caching the plan
+# makes the compile pass a one-time cost per (trace, config) instead of
+# a per-run cost — repeated runs share their inputs (both backends of a
+# paired run, every configuration of a figure matrix), and the sweep
+# engine's warm workers (see ``repro.experiments.engine.executor``)
+# memoize trace and config objects per worker, so a warm worker that
+# re-simulates a known workload skips plan compilation entirely (the
+# cache is module-level state and therefore survives across the
+# worker's job batches).
+#
+# On a cache hit the hierarchy's *counters* are replayed onto the fresh
+# core from the recorded deltas; the LRU set contents themselves are
+# left empty.  That is unobservable: results serialize the counters,
+# never the set occupancy, and no later code reads the sets.
+# ----------------------------------------------------------------------
+
+#: LRU bound on cached plans.  Each entry holds the prefix arrays for
+#: one trace (a few hundred KiB at bench scale), so the bound caps the
+#: cache at tens of MiB while still covering a whole workload suite.
+PLAN_CACHE_CAPACITY = 64
+
+_plan_cache: OrderedDict = OrderedDict()
+_plan_cache_counters = {"hits": 0, "misses": 0, "evictions": 0,
+                        "compiles": 0}
 
 
-@dataclass(slots=True)
-class CoreRunResult:
-    """Outcome of one :meth:`TraceCore.run` call."""
+def plan_cache_stats() -> dict:
+    """Snapshot of the plan cache: size, capacity, and hit/miss counters.
 
-    #: Memory requests issued during this run, in issue order.
-    requests: list[IssuedRequest]
-    #: True when the core has executed its entire trace.
-    finished: bool
-    #: True when the core stopped because it is waiting for a completion.
-    stalled: bool
+    ``compiles`` counts every real :func:`_compile_core_plan` pass, so
+    warm-worker tests can assert that repeated batches stop compiling.
+    Counters are process-global and cumulative; diff two snapshots to
+    scope them to one run.
+    """
+    return {
+        "size": len(_plan_cache),
+        "capacity": PLAN_CACHE_CAPACITY,
+        **_plan_cache_counters,
+    }
+
+
+def clear_plan_cache() -> None:
+    """Drop every cached plan and zero the counters (test isolation)."""
+    _plan_cache.clear()
+    for name in _plan_cache_counters:
+        _plan_cache_counters[name] = 0
+
+
+def _hierarchy_counters(hier: CacheHierarchy) -> list[tuple[object, str]]:
+    """Every counter the compile pass advances, as (owner, attribute)."""
+    return [(level, name) for level in (hier.l1, hier.l2, hier.llc)
+            for name in ("hits", "misses", "writebacks")] \
+        + [(hier, "llc_misses"), (hier, "accesses")]
+
+
+def _plan_for_core(core: TraceCore) -> tuple:
+    """Compiled batch-step plan for a fresh ``core``, via the plan cache.
+
+    Cache hits replay the recorded hierarchy counter deltas onto the
+    core (the compile pass's only side effect).
+    """
+    hier = core.hierarchy
+    counters = _hierarchy_counters(hier)
+    key = (hier.config, tuple(core._trace_fast))
+    entry = _plan_cache.get(key)
+    if entry is not None:
+        _plan_cache.move_to_end(key)
+        _plan_cache_counters["hits"] += 1
+        plan, deltas = entry
+        for (owner, name), delta in zip(counters, deltas):
+            setattr(owner, name, getattr(owner, name) + delta)
+        return plan
+    before = [getattr(owner, name) for owner, name in counters]
+    _plan_cache_counters["misses"] += 1
+    _plan_cache_counters["compiles"] += 1
+    plan = _compile_core_plan(core)
+    deltas = tuple(getattr(owner, name) - start
+                   for (owner, name), start in zip(counters, before))
+    _plan_cache[key] = (plan, deltas)
+    if len(_plan_cache) > PLAN_CACHE_CAPACITY:
+        _plan_cache.popitem(last=False)
+        _plan_cache_counters["evictions"] += 1
+    return plan
 
 
 class TraceCore:
     """One trace-driven core."""
 
-    __slots__ = ('core_id', '_trace', '_config', 'hierarchy', 'mshrs',
-                 'stats', '_issue_width', '_window_size', '_block_mask',
-                 '_mshr_entries', '_mshr_capacity', '_mshr_shift',
-                 '_hierarchy_access', '_run_hot',
-                 '_trace_fast', '_trace_length', '_core_cycle',
-                 '_next_record', '_issued_instructions', '_outstanding',
-                 '_finished')
+    __slots__ = ('core_id', '_config', 'hierarchy', 'mshrs',
+                 'stats', '_window_size', '_block_mask', '_mshr_entries',
+                 '_mshr_capacity', '_mshr_shift', '_trace_fast',
+                 '_trace_length', '_core_cycle', '_next_record',
+                 '_issued_instructions', '_outstanding', '_finished',
+                 '_mem_ptr', '_hot')
 
     def __init__(self, core_id: int, trace: list[TraceRecord],
                  config: CoreConfig | None = None):
         self.core_id = core_id
-        self._trace = trace
         self._config = config or CoreConfig()
         self.hierarchy = CacheHierarchy(self._config.hierarchy)
-        self.mshrs = MSHRFile(self._config.mshr_entries)
+        # One block size drives both the MSHR merge and the completion
+        # match: the L1's, the granularity at which misses leave the core.
+        block_size = self.hierarchy.l1.config.block_size_bytes
+        self.mshrs = MSHRFile(self._config.mshr_entries, block_size)
         self.stats = CoreStats()
-        # Hot-path constants hoisted out of the per-record loop.
-        self._issue_width = self._config.issue_width
         self._window_size = self._config.window_size
-        self._block_mask = ~(self.hierarchy.l1.config.block_size_bytes - 1)
+        self._block_mask = ~(block_size - 1)
         self._mshr_entries = self.mshrs.entries
         self._mshr_capacity = self.mshrs.num_entries
         self._mshr_shift = self.mshrs._offset_bits
-        self._hierarchy_access = self.hierarchy.access
         #: The trace flattened to (issue_cycles, instructions, address,
-        #: is_write) tuples: the issue loop needs the issue-bandwidth cost
-        #: and instruction count of each record, and precomputing them here
-        #: replaces a ceiling division plus three attribute loads per record
-        #: with one tuple unpack.
-        issue_width = self._issue_width
+        #: is_write) tuples: the plan compiler's input and, with the
+        #: hierarchy config, its cache key.
+        issue_width = self._config.issue_width
         self._trace_fast = [
             (max((record.bubbles + 1 + issue_width - 1) // issue_width, 1),
              record.bubbles + 1, record.address, record.is_write)
@@ -160,15 +278,14 @@ class TraceCore:
         #: Outstanding LLC load misses, in program order.
         self._outstanding: list[_OutstandingMiss] = []
         self._finished = False
-        #: Everything the issue loop needs, as one tuple: :meth:`run` is
-        #: called once per unblocking completion and often issues only a
-        #: couple of records, so its fixed setup cost (a dozen attribute
-        #: loads) matters; one load plus an unpack is cheaper.
-        self._run_hot = (self._trace_fast, self._trace_length,
-                         self._mshr_entries, self._mshr_capacity,
-                         self._outstanding, self._window_size,
-                         self._issue_width, self._hierarchy_access,
-                         self.mshrs, self._mshr_shift, self.stats)
+        #: Position of the next memory event in the plan's event list.
+        self._mem_ptr = 0
+        #: The compiled plan plus the stepper's hoisted handles, as one
+        #: tuple built on the first run: :meth:`run_requests` is called
+        #: once per unblocking completion and often steps only a record
+        #: or two, so one load plus an unpack beats a dozen attribute
+        #: loads.  Compiling lazily keeps the compile in the run.
+        self._hot: tuple | None = None
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -188,130 +305,130 @@ class TraceCore:
         """The core's local clock (cycles of issued work)."""
         return self._core_cycle
 
-    @property
-    def outstanding_misses(self) -> int:
-        """Number of LLC load misses still waiting for data."""
-        return len(self._outstanding)
-
-    @property
-    def trace_length(self) -> int:
-        """Number of records in the core's trace."""
-        return len(self._trace)
-
     # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------
-    def run(self, now: int) -> CoreRunResult:
-        """Issue work starting at cycle ``now`` until a stall or completion.
+    def _compile(self) -> tuple:
+        plan = _plan_for_core(self)
+        outstanding = self._outstanding
+        mshr_entries = self._mshr_entries
+        trace_length = self._trace_length
+        self._hot = hot = plan + (
+            len(plan[2]), trace_length, trace_length + 1, outstanding,
+            outstanding.append, mshr_entries, mshr_entries.get,
+            self._mshr_capacity, self._mshr_shift, self._block_mask,
+            self.mshrs, self._window_size, self.stats)
+        return hot
 
-        The returned requests carry their own issue cycles (all >= ``now``);
-        the caller is responsible for delivering them to the memory
-        controller at those times and for calling :meth:`notify_completion`
-        when each read completes.
-        """
-        requests = self.run_requests(now)
-        if self._finished:
-            return CoreRunResult(requests=requests, finished=True,
-                                 stalled=False)
-        return CoreRunResult(requests=requests, finished=False, stalled=True)
+    def run_requests(self, now: int) -> list[tuple[int, int, bool]]:
+        """Issue work starting at cycle ``now`` until a stall or the end.
 
-    def run_requests(self, now: int) -> list[IssuedRequest]:
-        """Hot-path variant of :meth:`run`: returns only the issued requests.
+        Returns the memory requests issued, in issue order, as
+        ``(issue_cycle, address, is_write)`` tuples (every issue cycle is
+        >= ``now``).  The caller delivers them to the memory controller at
+        those times and calls :meth:`notify_completion` when each read
+        completes; whether the core finished is :attr:`finished`.
 
-        The simulator needs nothing else per core-run event — whether the
-        core finished or stalled is observable via :attr:`finished` — so
-        the ``CoreRunResult`` wrapper is built only for :meth:`run` callers.
+        Each loop iteration handles one memory-touching record (or one
+        stall): the hit run leading up to it is applied as prefix-array
+        differences and window stalls are located by one bisect.
         """
         if self._finished:
             return []
-        if now > self._core_cycle:
-            self._core_cycle = now
-        requests: list[IssuedRequest] = []
-
-        # The whole issue loop runs on locals (written back before every
-        # return): it executes once per trace record, and both a method
-        # call per record and repeated attribute loads are measurable.  The
-        # stall conditions mirror :meth:`_stall_reason`; the record
-        # execution mirrors the former ``_execute_record``.
-        (trace, trace_length, mshr_entries, mshr_capacity, outstanding,
-         window_size, issue_width, hierarchy_access, mshrs, mshr_shift,
-         run_stats) = self._run_hot
+        hot = self._hot
+        if hot is None:
+            hot = self._compile()
+        (cost_prefix, instr_prefix, mem_idx, mem_events, n_mem_events,
+         trace_length, trace_n1, outstanding, outstanding_append,
+         mshr_entries, mshr_get, mshr_capacity, mshr_shift, block_mask,
+         mshrs, window_size, stats) = hot
         next_record = self._next_record
         core_cycle = self._core_cycle
-        issued_instructions = self._issued_instructions
-        # Statistics accumulate in locals and flush once after the loop.
-        new_instructions = 0
-        new_memory_instructions = 0
+        if now > core_cycle:
+            core_cycle = now
+        mem_ptr = self._mem_ptr
+        requests: list[tuple[int, int, bool]] = []
         new_writebacks = 0
         new_miss_loads = 0
         new_miss_stores = 0
-        stalled = False
         while next_record < trace_length:
             if len(mshr_entries) >= mshr_capacity:
-                stalled = True
                 break
             if outstanding:
                 oldest = outstanding[0]
-                if oldest.blocks_window \
-                        and (issued_instructions
-                             - oldest.instruction_position) >= window_size:
-                    stalled = True
-                    break
-            issue_cycles, instructions, address, is_write = \
-                trace[next_record]
-            next_record += 1
-
-            core_cycle += issue_cycles
-            issued_instructions += instructions
-            new_instructions += instructions
-            new_memory_instructions += 1
-
-            access = hierarchy_access(address, is_write)
-            core_cycle += access.exposed_latency
-
-            for writeback_address in access.writebacks:
-                new_writebacks += 1
-                requests.append(IssuedRequest(core_cycle, writeback_address,
-                                              True))
-            if not access.needs_memory:
+                if oldest.blocks_window:
+                    window_limit = oldest.instruction_position + window_size
+                    if instr_prefix[next_record] >= window_limit:
+                        break
+                    stop = bisect_left(instr_prefix, window_limit,
+                                       next_record + 1)
+                else:
+                    stop = trace_n1
+            else:
+                stop = trace_n1
+            ev = mem_idx[mem_ptr] if mem_ptr < n_mem_events else trace_length
+            if ev < stop and ev < trace_length:
+                # Hit run up to (and including) the memory record: issue
+                # cost and exposed cache latency come from the prefix
+                # arrays.
+                core_cycle += cost_prefix[ev + 1] - cost_prefix[next_record]
+                next_record = ev + 1
+                address, is_write, needs_memory, writebacks = \
+                    mem_events[mem_ptr]
+                mem_ptr += 1
+                for writeback_address in writebacks:
+                    new_writebacks += 1
+                    requests.append((core_cycle, writeback_address, True))
+                if not needs_memory:
+                    continue
+                # Inline MSHRFile.allocate: the loop head guarantees a
+                # free entry, so the full-file error path cannot trigger.
+                block = address >> mshr_shift
+                merged_count = mshr_get(block)
+                if merged_count is None:
+                    mshr_entries[block] = 1
+                    mshrs.allocations += 1
+                    new_entry = True
+                else:
+                    mshr_entries[block] = merged_count + 1
+                    mshrs.merges += 1
+                    new_entry = False
+                if is_write:
+                    new_miss_stores += 1
+                else:
+                    new_miss_loads += 1
+                if new_entry:
+                    requests.append((core_cycle, address, False))
+                    outstanding_append(_OutstandingMiss(
+                        address & block_mask, instr_prefix[next_record],
+                        not is_write))
+                elif not is_write:
+                    # The miss merged into an existing MSHR; the load
+                    # still blocks the window on the earlier request's
+                    # completion.
+                    outstanding_append(_OutstandingMiss(
+                        address & block_mask, instr_prefix[next_record],
+                        True))
                 continue
-
-            # Inline MSHRFile.allocate: the loop head guarantees a free
-            # entry, so the full-file error path cannot trigger here.
-            block = address >> mshr_shift
-            merged_count = mshr_entries.get(block)
-            if merged_count is None:
-                mshr_entries[block] = 1
-                mshrs.allocations += 1
-                new_entry = True
-            else:
-                mshr_entries[block] = merged_count + 1
-                mshrs.merges += 1
-                new_entry = False
-            if is_write:
-                new_miss_stores += 1
-            else:
-                new_miss_loads += 1
-            if new_entry:
-                requests.append(IssuedRequest(core_cycle, address, False))
-                outstanding.append(_OutstandingMiss(address,
-                                                    issued_instructions,
-                                                    not is_write))
-            elif not is_write:
-                # The miss merged into an existing MSHR; the load still
-                # blocks the window on the earlier request's completion.
-                outstanding.append(_OutstandingMiss(address,
-                                                    issued_instructions,
-                                                    True))
+            # No executable memory record: pure hit run to the
+            # window-stall point or the end of the trace.
+            stop_record = stop if stop < trace_length else trace_length
+            core_cycle += cost_prefix[stop_record] - cost_prefix[next_record]
+            next_record = stop_record
+            break
+        self._mem_ptr = mem_ptr
         self._next_record = next_record
         self._core_cycle = core_cycle
-        self._issued_instructions = issued_instructions
-        run_stats.instructions += new_instructions
-        run_stats.memory_instructions += new_memory_instructions
-        run_stats.writebacks += new_writebacks
-        run_stats.llc_miss_loads += new_miss_loads
-        run_stats.llc_miss_stores += new_miss_stores
-        if not stalled and not outstanding:
+        self._issued_instructions = issued_instructions = \
+            instr_prefix[next_record]
+        # Absolute values: the plan starts at record 0 of a fresh core,
+        # so telemetry sampling between runs always reads current stats.
+        stats.instructions = issued_instructions
+        stats.memory_instructions = next_record
+        stats.writebacks += new_writebacks
+        stats.llc_miss_loads += new_miss_loads
+        stats.llc_miss_stores += new_miss_stores
+        if next_record >= trace_length and not outstanding:
             self._retire()
         return requests
 
@@ -319,69 +436,51 @@ class TraceCore:
         """A read request issued by this core completed.
 
         Returns True when the core can now make progress (the caller should
-        schedule a :meth:`run` at ``completion_cycle``).  The core's clock is
-        only advanced when this completion is what the core was waiting for;
-        a younger miss returning early does not release an older window
-        stall.
+        schedule a :meth:`run_requests` at ``completion_cycle``).  The
+        core's clock is only advanced when this completion is what the core
+        was waiting for; a younger miss returning early does not release an
+        older window stall.
         """
-        block_mask = self._block_mask
-        block = address & block_mask
+        block = address & self._block_mask
         outstanding = self._outstanding
-        kept = [miss for miss in outstanding
-                if (miss.address & block_mask) != block]
+        # A plain loop: the list is short, and on Python 3.11 a list
+        # comprehension costs a function call per completion.
+        kept = []
+        for miss in outstanding:
+            if miss.block != block:
+                kept.append(miss)
         if len(kept) == len(outstanding):
             return False
-        # Stall checks inline (mirroring _stall_reason): once against the
-        # state before the completion is applied, once after.
         mshr_entries = self._mshr_entries
-        window_size = self._window_size
-        oldest = outstanding[0]
-        stalled_before = len(mshr_entries) >= self._mshr_capacity \
-            or (oldest.blocks_window
-                and (self._issued_instructions
-                     - oldest.instruction_position) >= window_size)
+        # A wait this completion ends counts as an MSHR stall when the
+        # MSHR file was full, and as a window stall otherwise.
+        mshrs_were_full = len(mshr_entries) >= self._mshr_capacity
         # In-place so aliases of the outstanding list stay valid.
         outstanding[:] = kept
         # Inline MSHRFile.release (the entry must exist: an outstanding
         # miss for the block implies a live MSHR).
         del mshr_entries[address >> self._mshr_shift]
-
         if kept:
             oldest = kept[0]
-            can_progress = not (oldest.blocks_window
-                                and (self._issued_instructions
-                                     - oldest.instruction_position)
-                                >= window_size)
-        else:
-            can_progress = True
-        if can_progress and completion_cycle > self._core_cycle:
+            if oldest.blocks_window \
+                    and self._issued_instructions \
+                    - oldest.instruction_position >= self._window_size:
+                # An older miss still holds the window.
+                return False
+        core_cycle = self._core_cycle
+        if completion_cycle > core_cycle:
             # The core could not issue past this point until the data came
             # back; charge the wait as stall time and advance the clock.
-            stall = completion_cycle - self._core_cycle
-            if stalled_before and self.mshrs.occupancy + 1 >= self.mshrs.capacity:
-                self.stats.stall_cycles_mshr += stall
+            if mshrs_were_full:
+                self.stats.stall_cycles_mshr += completion_cycle - core_cycle
             else:
-                self.stats.stall_cycles_window += stall
+                self.stats.stall_cycles_window += \
+                    completion_cycle - core_cycle
             self._core_cycle = completion_cycle
-        if self._next_record >= self._trace_length and not self._outstanding:
+        if not kept and self._next_record >= self._trace_length:
             self._retire()
-        return can_progress and not self._finished
-
-    # ------------------------------------------------------------------
-    # Internals.
-    # ------------------------------------------------------------------
-    def _stall_reason(self) -> str | None:
-        """Why the core cannot issue the next record right now, if at all."""
-        if len(self._mshr_entries) >= self._mshr_capacity:
-            return "mshr"
-        outstanding = self._outstanding
-        if outstanding:
-            oldest = outstanding[0]
-            if oldest.blocks_window \
-                    and (self._issued_instructions
-                         - oldest.instruction_position) >= self._window_size:
-                return "window"
-        return None
+            return False
+        return True
 
     def _retire(self) -> None:
         self._finished = True

@@ -30,6 +30,7 @@ import itertools
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NoReturn
 
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemoryRequest
@@ -196,7 +197,7 @@ class Simulator:
             if cycle > max_cycles or processed >= max_events:
                 self._now = cycle
                 self.processed_events = processed
-                self._raise_limit(cycle)
+                raise_limit(self._limits, cycle, processed)
             if cycle >= epoch_end:
                 # Sample every boundary crossed before this event's effects
                 # apply; pure observation, so timing is unperturbed.
@@ -212,7 +213,7 @@ class Simulator:
                     payload.decoded, payload.flat_bank, channel_controller \
                         = entry
                 completed = channel_controller.enqueue(payload, cycle)
-                # Inline completion delivery (see _deliver_completions).
+                # Deliver completed reads to their cores.
                 for request in completed:
                     if request.is_write:
                         continue
@@ -303,39 +304,45 @@ class Simulator:
                     "ChannelController rebound its wake-up structures "
                     "mid-run; the hoisted wakeup_views snapshot went "
                     "stale (see ChannelController.wakeup_view)")
-
-        # Flush any writes still sitting in the controller queues so that
-        # command counts and energy reflect the whole workload.
-        finish_cycle = max((core.stats.finish_cycle for core in self._cores),
-                          default=self._now)
-        drain_cycle = self._controller.drain_all(self._now)
-        self._now = max(self._now, drain_cycle, finish_cycle)
-        if telemetry is not None:
-            # Close the trailing partial epoch (includes the write drain).
-            telemetry.finalize(self._now)
+        finish_cycle, self._now = finish_run(cores, controller, telemetry,
+                                             self._now)
         return finish_cycle
 
-    # ------------------------------------------------------------------
-    # Event handlers.
-    # ------------------------------------------------------------------
-    def _deliver_completions(self, completed: list[MemoryRequest]) -> None:
-        cores = self._cores
-        events = self._events
-        sequence = self._sequence
-        for request in completed:
-            if request.is_write:
-                continue
-            core = cores[request.core_id]
-            completion_cycle = request.completion_cycle
-            if core.notify_completion(request.address, completion_cycle):
-                heapq.heappush(events, (completion_cycle, next(sequence),
-                                        _CORE_RUN, core))
 
-    def _raise_limit(self, cycle: int) -> None:
-        """Report which safety limit the next event would exceed."""
-        if cycle > self._limits.max_cycles:
-            raise RuntimeError(
-                f"simulation exceeded {self._limits.max_cycles} cycles")
+def raise_limit(limits: SimulatorLimits, cycle: int,
+                processed: int) -> NoReturn:
+    """Raise ``RuntimeError`` naming the safety limit the event at
+    ``cycle`` would exceed (shared by every backend's event loop).
+    """
+    if cycle > limits.max_cycles:
+        raise RuntimeError(f"simulation exceeded {limits.max_cycles} cycles")
+    raise RuntimeError(f"simulation exceeded {limits.max_events} events "
+                       f"({processed} processed)")
+
+
+def finish_run(cores: list[TraceCore], controller: MemoryController,
+               telemetry, now: int) -> tuple[int, int]:
+    """End-of-run tail shared by every backend's event loop.
+
+    Called once the event heap has drained.  Every core must have
+    finished by then: a core still waiting on a completion that will
+    never come (a lost request, a miss the MSHRs never issued) would
+    otherwise end the run early with a plausible-looking result, so it
+    raises ``RuntimeError`` naming the stuck cores.  Then flushes the
+    writes still queued in the controller, so that command counts and
+    energy reflect the whole workload, and closes telemetry's trailing
+    partial epoch (which includes that drain).  Returns the cores' final
+    finish cycle and the run's end cycle.
+    """
+    stuck = [core.core_id for core in cores if not core.finished]
+    if stuck:
         raise RuntimeError(
-            f"simulation exceeded {self._limits.max_events} events "
-            f"({self.processed_events} processed)")
+            f"event queue drained at cycle {now} with core(s) {stuck} "
+            f"unfinished: a core is waiting on a completion that never "
+            f"arrives")
+    finish_cycle = max(core.stats.finish_cycle for core in cores)
+    drain_cycle = controller.drain_all(now)
+    now = max(now, drain_cycle, finish_cycle)
+    if telemetry is not None:
+        telemetry.finalize(now)
+    return finish_cycle, now

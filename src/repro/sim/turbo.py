@@ -11,28 +11,31 @@ exactly the reference loop's push points, so it processes the same
 events in the same order — stale wake events included.  It attacks
 three costs of the reference loop:
 
-1. **Per-record core simulation.**  The cache hierarchy is cycle-free,
-   so each core's trace is compiled once into prefix arrays
-   (:func:`_compile_core_plan`, memoized by the process-wide plan
-   cache) and a core advances to its next memory event with a
-   ``bisect`` instead of simulating every record.
+1. **Per-record core simulation.**  The loop does not step cores
+   itself: its core-run handler calls :meth:`TraceCore.run_requests`
+   and its completion delivery :meth:`TraceCore.notify_completion`,
+   the core's one stepper and one notify, shared with the reference
+   loop.  The stepper advances over a compiled plan (the cache
+   hierarchy is cycle-free, so each trace is compiled once into prefix
+   arrays, memoized by the process-wide plan cache in
+   :mod:`repro.cpu.core`) to its next memory event with a ``bisect``
+   instead of simulating every record.
 
 2. **Calls and attribute chasing.**  Address decode, the controller's
-   enqueue, wake and FR-FCFS scheduling, the DRAM timing chain
+   enqueue, wake and FR-FCFS scheduling, and the DRAM timing chain
    (``Channel.access`` → ``Bank.access`` → ``Bank._activate``, with
-   constants from the flat tables of :mod:`repro.sim.turbo_tables`),
-   and the core's completion notify are inlined into the loop.  KEEP
-   each inlined block IN SYNC with the source it names; the golden
-   fixtures and the cross-backend parity suite
-   (``tests/test_backend.py``) enforce the equivalence.  Mechanism
-   policy is never copied: the loop calls the channel's FR-FCFS row
-   hook (``ChannelController._row_of``) and the mechanism's own
-   ``resolve`` (tag probe and hit bookkeeping) and ``fill`` (miss
-   tail) around its inlined timing chain, exactly as
-   :meth:`CachingMechanism.service` composes them.  Each channel's and
-   each core's hoisted handles form one tuple, unpacked into locals
-   only when the channel or core being served changes — once per run
-   for a single-channel, single-core system.
+   constants from the flat tables of :mod:`repro.sim.turbo_tables`)
+   are inlined into the loop.  KEEP each inlined block IN SYNC with
+   the source it names; the golden fixtures and the cross-backend
+   parity suite (``tests/test_backend.py``) enforce the equivalence.
+   Mechanism policy is never copied: the loop calls the channel's
+   FR-FCFS row hook (``ChannelController._row_of``) and the
+   mechanism's own ``resolve`` (tag probe and hit bookkeeping) and
+   ``fill`` (miss tail) around its inlined timing chain, exactly as
+   :meth:`CachingMechanism.service` composes them.  Each channel's
+   hoisted handles form one tuple, unpacked into locals only when the
+   channel being served changes — once per run for a single-channel
+   system.
 
 3. **Allocation.**  Completed :class:`MemoryRequest` records are pooled
    in a freelist and reused for later arrivals.  A reused request draws
@@ -54,205 +57,21 @@ drain) need no synchronisation points.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import OrderedDict, deque
+from collections import deque
 from heapq import heappop, heappush
 
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemoryRequest, _request_ids
-from repro.cpu.core import TraceCore, _OutstandingMiss
-from repro.sim.simulator import (Simulator, SimulatorLimits,
-                                 interpreter_run_guard)
+# The plan cache lives with the core; its accessors stay importable here.
+from repro.cpu.core import (TraceCore, clear_plan_cache,  # noqa: F401
+                            plan_cache_stats)
+from repro.sim.simulator import (Simulator, SimulatorLimits, finish_run,
+                                 interpreter_run_guard, raise_limit)
 from repro.sim.turbo_tables import tables_for_channel
 
 _CORE_RUN = 0
 _REQUEST_ARRIVAL = 1
 _CONTROLLER_WAKE = 2
-
-
-def _compile_core_plan(core: TraceCore) -> tuple:
-    """Precompute one core's cache simulation into a batch-step plan.
-
-    The cache hierarchy is cycle-free: which accesses hit, which miss,
-    and which victims write back depend only on the access ORDER (LRU
-    over the address sequence), never on simulated time — and the core
-    executes its trace strictly in order, each record exactly once.  So
-    the whole trace runs through :meth:`CacheHierarchy.access` here in
-    one pass, and the event loop's core-run handler advances the core
-    with prefix-sum arithmetic instead of per-record work:
-
-    * ``cost_prefix[i]``  — issue-bandwidth cycles + exposed cache
-      latency of records [0, i): a hit run between two memory-touching
-      records advances ``core_cycle`` with one subtraction;
-    * ``instr_prefix[i]`` — instructions issued by records [0, i):
-      ``issued_instructions`` is a pure function of the record index,
-      so window-stall points fall out of one bisect over this array;
-    * ``mem_idx``/``mem_events`` — the sparse records that touch memory
-      (an LLC miss and/or dirty victim writebacks), as
-      ``(address, is_write, needs_memory, writebacks)`` tuples.
-
-    Hierarchy state and counters reach their end-of-run values up
-    front, which is unobservable: nothing reads them mid-run (the
-    telemetry layer samples only ``CoreStats``, which the stepper keeps
-    current from the prefix arrays and the returned stats bases), and
-    safety-limit overruns raise instead of truncating the trace.
-    """
-    trace = core._trace_fast
-    next_record = core._next_record
-    issued_instructions = core._issued_instructions
-    access = core.hierarchy.access
-
-    cost_prefix = [0] * (next_record + 1)
-    cost_append = cost_prefix.append
-    instr_prefix = [0] * next_record + [issued_instructions]
-    instr_append = instr_prefix.append
-    mem_idx: list[int] = []
-    mem_idx_append = mem_idx.append
-    mem_events: list[tuple] = []
-    mem_events_append = mem_events.append
-    cost_acc = 0
-    instr_acc = issued_instructions
-    for record_index in range(next_record, core._trace_length):
-        issue_cycles, instructions, address, is_write = trace[record_index]
-        instr_acc += instructions
-        instr_append(instr_acc)
-        result = access(address, is_write)
-        cost_acc += issue_cycles + result.exposed_latency
-        cost_append(cost_acc)
-        if result.needs_memory or result.writebacks:
-            mem_idx_append(record_index)
-            mem_events_append((address, is_write, result.needs_memory,
-                               result.writebacks))
-
-    # CoreStats flush bases: the stepper assigns absolute values derived
-    # from the prefix arrays, so telemetry epoch sampling always reads
-    # current numbers no matter how far the core has stepped.
-    stats_instr_base = core.stats.instructions - issued_instructions
-    stats_mem_base = core.stats.memory_instructions - next_record
-    return (cost_prefix, instr_prefix, mem_idx, mem_events,
-            stats_instr_base, stats_mem_base)
-
-
-# ----------------------------------------------------------------------
-# Process-wide compiled-plan cache.
-#
-# A core's plan is a pure function of its trace contents and its
-# ``HierarchyConfig`` (geometry + latencies): the compile pass is a
-# deterministic LRU simulation over the address sequence, so two fresh
-# cores with the same (hierarchy config, trace) pair always compile to
-# the same prefix arrays and the same counter deltas.  Caching the plan
-# makes the compile pass a one-time cost per (trace, config) instead of
-# a per-run cost — the bench harness reuses its inputs across repeat
-# passes, and the sweep engine's warm workers (see
-# ``repro.experiments.engine.executor``) memoize trace and config
-# objects per worker, so a warm worker that re-simulates a known
-# workload skips plan compilation entirely (the cache is module-level
-# state and therefore survives across the worker's job batches).
-#
-# On a cache hit the hierarchy's *counters* are replayed onto the fresh
-# core from the recorded deltas; the LRU set contents themselves are
-# left empty.  That is unobservable: results serialize the counters,
-# never the set occupancy, and a plan-cache hit only ever happens on a
-# fresh core (``_next_record == 0`` and untouched hierarchy counters),
-# whose sets no later code reads.
-# ----------------------------------------------------------------------
-
-#: LRU bound on cached plans.  Each entry holds the prefix arrays for
-#: one trace (a few hundred KiB at bench scale), so the bound caps the
-#: cache at tens of MiB while still covering a whole workload suite.
-PLAN_CACHE_CAPACITY = 64
-
-_plan_cache: OrderedDict = OrderedDict()
-_plan_cache_counters = {"hits": 0, "misses": 0, "evictions": 0,
-                        "compiles": 0, "bypasses": 0}
-
-
-def plan_cache_stats() -> dict:
-    """Snapshot of the plan cache: size, capacity, and hit/miss counters.
-
-    ``compiles`` counts every real :func:`_compile_core_plan` pass
-    (cache misses plus bypasses), so warm-worker tests can assert that
-    repeated batches stop compiling.  Counters are process-global and
-    cumulative; diff two snapshots to scope them to one run.
-    """
-    return {
-        "size": len(_plan_cache),
-        "capacity": PLAN_CACHE_CAPACITY,
-        **_plan_cache_counters,
-    }
-
-
-def clear_plan_cache() -> None:
-    """Drop every cached plan and zero the counters (test isolation)."""
-    _plan_cache.clear()
-    for name in _plan_cache_counters:
-        _plan_cache_counters[name] = 0
-
-
-def _plan_for_core(core: TraceCore) -> tuple:
-    """Compiled batch-step plan for ``core``, through the plan cache.
-
-    Cache hits replay the recorded hierarchy counter deltas onto the
-    core (the compile pass's only side effect) and recompute the
-    ``CoreStats`` flush bases from the core's current stats.  Only a
-    fresh core is eligible — a partially-run core (never the case for
-    the simulators here, which compile once at run start) bypasses the
-    cache.
-    """
-    hier = core.hierarchy
-    if core._next_record != 0 or core._issued_instructions != 0 \
-            or hier.accesses != 0:
-        _plan_cache_counters["bypasses"] += 1
-        _plan_cache_counters["compiles"] += 1
-        return _compile_core_plan(core)
-    key = (hier.config, tuple(core._trace_fast))
-    l1 = hier.l1
-    l2 = hier.l2
-    llc = hier.llc
-    entry = _plan_cache.get(key)
-    if entry is not None:
-        _plan_cache.move_to_end(key)
-        _plan_cache_counters["hits"] += 1
-        cost_prefix, instr_prefix, mem_idx, mem_events, deltas = entry
-        (d_l1_hits, d_l1_misses, d_l1_writebacks,
-         d_l2_hits, d_l2_misses, d_l2_writebacks,
-         d_llc_hits, d_llc_misses, d_llc_writebacks,
-         d_hier_llc_misses, d_hier_accesses) = deltas
-        l1.hits += d_l1_hits
-        l1.misses += d_l1_misses
-        l1.writebacks += d_l1_writebacks
-        l2.hits += d_l2_hits
-        l2.misses += d_l2_misses
-        l2.writebacks += d_l2_writebacks
-        llc.hits += d_llc_hits
-        llc.misses += d_llc_misses
-        llc.writebacks += d_llc_writebacks
-        hier.llc_misses += d_hier_llc_misses
-        hier.accesses += d_hier_accesses
-        # Fresh core: issued_instructions and next_record are both zero,
-        # so the flush bases reduce to the current absolute stats.
-        stats = core.stats
-        return (cost_prefix, instr_prefix, mem_idx, mem_events,
-                stats.instructions, stats.memory_instructions)
-    before = (l1.hits, l1.misses, l1.writebacks,
-              l2.hits, l2.misses, l2.writebacks,
-              llc.hits, llc.misses, llc.writebacks,
-              hier.llc_misses, hier.accesses)
-    _plan_cache_counters["misses"] += 1
-    _plan_cache_counters["compiles"] += 1
-    plan = _compile_core_plan(core)
-    deltas = (l1.hits - before[0], l1.misses - before[1],
-              l1.writebacks - before[2],
-              l2.hits - before[3], l2.misses - before[4],
-              l2.writebacks - before[5],
-              llc.hits - before[6], llc.misses - before[7],
-              llc.writebacks - before[8],
-              hier.llc_misses - before[9], hier.accesses - before[10])
-    _plan_cache[key] = (plan[0], plan[1], plan[2], plan[3], deltas)
-    if len(_plan_cache) > PLAN_CACHE_CAPACITY:
-        _plan_cache.popitem(last=False)
-        _plan_cache_counters["evictions"] += 1
-    return plan
 
 
 class TurboSimulator:
@@ -311,25 +130,9 @@ class TurboSimulator:
     def _finish(self, cycle: int, processed: int) -> int:
         self._now = max(self._now, cycle)
         self.processed_events = processed
-        # Flush any writes still sitting in the controller queues so that
-        # command counts and energy reflect the whole workload.
-        finish_cycle = max((core.stats.finish_cycle for core in self._cores),
-                          default=self._now)
-        drain_cycle = self._controller.drain_all(self._now)
-        self._now = max(self._now, drain_cycle, finish_cycle)
-        if self._telemetry is not None:
-            # Close the trailing partial epoch (includes the write drain).
-            self._telemetry.finalize(self._now)
+        finish_cycle, self._now = finish_run(self._cores, self._controller,
+                                             self._telemetry, self._now)
         return finish_cycle
-
-    def _raise_limit(self, cycle: int) -> None:
-        """Report which safety limit the next event would exceed."""
-        if cycle > self._limits.max_cycles:
-            raise RuntimeError(
-                f"simulation exceeded {self._limits.max_cycles} cycles")
-        raise RuntimeError(
-            f"simulation exceeded {self._limits.max_events} events "
-            f"({self.processed_events} processed)")
 
     # ------------------------------------------------------------------
     # The fused event loop.
@@ -459,27 +262,6 @@ class TurboSimulator:
         freelist_pop = freelist.pop
         freelist_append = freelist.append
 
-        # Per-core handles — the compiled plan plus the core's hoisted
-        # state objects — one tuple per core, indexed by core_id and
-        # unpacked only when the core being stepped or notified changes
-        # (so once per run with one core).  ``mem_ptrs`` holds each
-        # core's position in its plan's memory-event list.
-        core_ctx = []
-        mem_ptrs = []
-        for core in cores:
-            plan = _plan_for_core(core)
-            trace_length = len(plan[0]) - 1
-            mshr_entries = core._mshr_entries
-            outstanding = core._outstanding
-            core_ctx.append(plan + (
-                core, trace_length, trace_length + 1, len(plan[2]),
-                outstanding, outstanding.append, mshr_entries,
-                mshr_entries.get, core._mshr_capacity, core._mshr_shift,
-                core._block_mask, core.mshrs, core._window_size,
-                core.stats, core.core_id))
-            mem_ptrs.append(bisect_left(plan[2], core._next_record))
-        core_id = -1
-
         # The event heap holds the reference loop's (cycle, seq, kind,
         # payload) tuples; seq is unique and monotone, so tuple
         # comparison never reaches the payload.  The initial core runs
@@ -494,7 +276,7 @@ class TurboSimulator:
             if cycle > max_cycles or processed >= max_events:
                 self._now = cycle
                 self.processed_events = processed
-                self._raise_limit(cycle)
+                raise_limit(self._limits, cycle, processed)
             if cycle >= epoch_end:
                 epoch_end = telemetry.advance(cycle)
             processed += 1
@@ -595,140 +377,26 @@ class TurboSimulator:
                 else:
                     due_work = ((ci, (flat_bank,)),)
             elif kind == _CORE_RUN:
-                # Batch-stepped TraceCore.run_requests (KEEP IN SYNC):
-                # each iteration below handles one memory-touching record
-                # (or one stall), the hit run leading up to it applied as
-                # prefix-array differences and window stalls located by
-                # one bisect; issued requests are pushed as arrival
-                # events directly.
-                if payload._finished:
-                    continue
-                if payload.core_id != core_id:
-                    (cost_prefix, instr_prefix, mem_idx, mem_events,
-                     stats_instr_base, stats_mem_base, core, trace_length,
-                     trace_n1, n_mem_events, outstanding, outstanding_append,
-                     mshr_entries, mshr_get, mshr_capacity, mshr_shift,
-                     block_mask, mshrs, window_size, run_stats,
-                     core_id) = core_ctx[payload.core_id]
-                next_record = core._next_record
-                core_cycle = core._core_cycle
-                if cycle > core_cycle:
-                    core_cycle = cycle
-                mem_ptr = mem_ptrs[core_id]
-                new_writebacks = 0
-                new_miss_loads = 0
-                new_miss_stores = 0
-                while next_record < trace_length:
-                    if len(mshr_entries) >= mshr_capacity:
-                        break
-                    if outstanding:
-                        oldest = outstanding[0]
-                        if oldest.blocks_window:
-                            window_limit = oldest.instruction_position \
-                                + window_size
-                            if instr_prefix[next_record] >= window_limit:
-                                break
-                            stop = bisect_left(instr_prefix, window_limit,
-                                               next_record + 1)
+                # The core steps itself; its issued requests become
+                # pooled arrival events (exactly the reference loop's
+                # pushes, in the same order).
+                issued = payload.run_requests(cycle)
+                if issued:
+                    core_id = payload.core_id
+                    for issue_cycle, address, is_write in issued:
+                        if freelist:
+                            request = freelist_pop()
+                            request.core_id = core_id
+                            request.address = address
+                            request.is_write = is_write
+                            request.arrival_cycle = issue_cycle
+                            request.request_id = next(request_ids)
                         else:
-                            stop = trace_n1
-                    else:
-                        stop = trace_n1
-                    ev = mem_idx[mem_ptr] if mem_ptr < n_mem_events \
-                        else trace_length
-                    if ev < stop and ev < trace_length:
-                        # Hit run up to (and including) the memory
-                        # record — issue cost and exposed cache latency
-                        # come from the prefix arrays.
-                        core_cycle += cost_prefix[ev + 1] \
-                            - cost_prefix[next_record]
-                        next_record = ev + 1
-                        address, is_write, needs_memory, wbs = \
-                            mem_events[mem_ptr]
-                        mem_ptr += 1
-                        for writeback_address in wbs:
-                            new_writebacks += 1
-                            if freelist:
-                                request = freelist_pop()
-                                request.core_id = core_id
-                                request.address = writeback_address
-                                request.is_write = True
-                                request.arrival_cycle = core_cycle
-                                request.request_id = next(request_ids)
-                            else:
-                                request = MemoryRequest(
-                                    core_id, writeback_address, True,
-                                    core_cycle)
-                            heappush(events, (core_cycle, seq,
-                                              _REQUEST_ARRIVAL, request))
-                            seq += 1
-                        if not needs_memory:
-                            continue
-                        # Inline MSHRFile.allocate: the loop head
-                        # guarantees a free entry.
-                        block = address >> mshr_shift
-                        merged_count = mshr_get(block)
-                        if merged_count is None:
-                            mshr_entries[block] = 1
-                            mshrs.allocations += 1
-                            new_entry = True
-                        else:
-                            mshr_entries[block] = merged_count + 1
-                            mshrs.merges += 1
-                            new_entry = False
-                        if is_write:
-                            new_miss_stores += 1
-                        else:
-                            new_miss_loads += 1
-                        if new_entry:
-                            if freelist:
-                                request = freelist_pop()
-                                request.core_id = core_id
-                                request.address = address
-                                request.is_write = False
-                                request.arrival_cycle = core_cycle
-                                request.request_id = next(request_ids)
-                            else:
-                                request = MemoryRequest(
-                                    core_id, address, False, core_cycle)
-                            heappush(events, (core_cycle, seq,
-                                              _REQUEST_ARRIVAL, request))
-                            seq += 1
-                            outstanding_append(_OutstandingMiss(
-                                address, instr_prefix[next_record],
-                                not is_write, address & block_mask))
-                        elif not is_write:
-                            # The miss merged into an existing MSHR; the
-                            # load still blocks the window on the earlier
-                            # request's completion.
-                            outstanding_append(_OutstandingMiss(
-                                address, instr_prefix[next_record],
-                                True, address & block_mask))
-                        continue
-                    # No executable memory record: pure hit run to the
-                    # window-stall point or the end of the trace.
-                    stop_record = stop if stop < trace_length \
-                        else trace_length
-                    core_cycle += cost_prefix[stop_record] \
-                        - cost_prefix[next_record]
-                    next_record = stop_record
-                    break
-                mem_ptrs[core_id] = mem_ptr
-                core._next_record = next_record
-                core._core_cycle = core_cycle
-                issued_instructions = instr_prefix[next_record]
-                core._issued_instructions = issued_instructions
-                run_stats.instructions = stats_instr_base \
-                    + issued_instructions
-                run_stats.memory_instructions = stats_mem_base \
-                    + next_record
-                run_stats.writebacks += new_writebacks
-                run_stats.llc_miss_loads += new_miss_loads
-                run_stats.llc_miss_stores += new_miss_stores
-                if next_record >= trace_length and not outstanding:
-                    # Inline _retire.
-                    core._finished = True
-                    run_stats.finish_cycle = core_cycle
+                            request = MemoryRequest(core_id, address,
+                                                    is_write, issue_cycle)
+                        heappush(events, (issue_cycle, seq,
+                                          _REQUEST_ARRIVAL, request))
+                        seq += 1
                 continue
             else:
                 # CONTROLLER_WAKE (superseded wake events stay in the
@@ -1021,72 +689,18 @@ class TurboSimulator:
                             completed_append(request)
 
             if completed:
-                # Inline completion delivery (see Simulator._run) plus
-                # request pooling: reads are recycled right after their
-                # notify, writes immediately — nothing retains them.
-                # The notify itself is TraceCore.notify_completion
-                # inlined (KEEP IN SYNC): clear the block's outstanding
-                # misses and MSHR, charge the stall, advance the clock,
-                # and reschedule the core if it can now make progress.
+                # Completion delivery (see Simulator._run) plus request
+                # pooling: reads are recycled right after their notify,
+                # writes immediately — nothing retains them.
                 for request in completed:
                     if not request.is_write:
-                        if request.core_id != core_id:
-                            (cost_prefix, instr_prefix, mem_idx, mem_events,
-                             stats_instr_base, stats_mem_base, core,
-                             trace_length, trace_n1, n_mem_events,
-                             outstanding, outstanding_append, mshr_entries,
-                             mshr_get, mshr_capacity, mshr_shift,
-                             block_mask, mshrs, window_size, run_stats,
-                             core_id) = core_ctx[request.core_id]
+                        core = cores[request.core_id]
                         completion_cycle = request.completion_cycle
-                        address = request.address
-                        block = address & block_mask
-                        kept = [miss for miss in outstanding
-                                if miss.block != block]
-                        if len(kept) != len(outstanding):
-                            issued = core._issued_instructions
-                            oldest = outstanding[0]
-                            stalled_before = \
-                                len(mshr_entries) >= mshr_capacity \
-                                or (oldest.blocks_window
-                                    and (issued
-                                         - oldest.instruction_position)
-                                    >= window_size)
-                            # In-place so aliases stay valid; the MSHR
-                            # entry must exist (outstanding miss =>
-                            # live MSHR).
-                            outstanding[:] = kept
-                            del mshr_entries[address >> mshr_shift]
-                            if kept:
-                                oldest = kept[0]
-                                can_progress = not (
-                                    oldest.blocks_window
-                                    and (issued
-                                         - oldest.instruction_position)
-                                    >= window_size)
-                            else:
-                                can_progress = True
-                            core_cycle = core._core_cycle
-                            if can_progress \
-                                    and completion_cycle > core_cycle:
-                                stall = completion_cycle - core_cycle
-                                if stalled_before \
-                                        and len(mshr_entries) + 1 \
-                                        >= mshr_capacity:
-                                    run_stats.stall_cycles_mshr += stall
-                                else:
-                                    run_stats.stall_cycles_window += stall
-                                core._core_cycle = core_cycle = \
-                                    completion_cycle
-                            if not kept \
-                                    and core._next_record >= trace_length:
-                                # Inline _retire.
-                                core._finished = True
-                                run_stats.finish_cycle = core_cycle
-                            elif can_progress:
-                                heappush(events, (completion_cycle, seq,
-                                                  _CORE_RUN, core))
-                                seq += 1
+                        if core.notify_completion(request.address,
+                                                  completion_cycle):
+                            heappush(events, (completion_cycle, seq,
+                                              _CORE_RUN, core))
+                            seq += 1
                     freelist_append(request)
 
             # Trailing wake scheduling (skipped after CORE_RUN, exactly

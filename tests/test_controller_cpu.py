@@ -299,25 +299,19 @@ def simple_trace(n, stride=4096, bubbles=10, write_every=0):
 
 def drive_core_to_completion(core, latency=200):
     """Feed the core fixed-latency completions until it finishes."""
-    pending = []
-    result = core.run(0)
-    pending.extend(result.requests)
+    pending = core.run_requests(0)
     guard = 0
     while not core.finished and guard < 10000:
         guard += 1
         if not pending:
-            result = core.run(core.core_cycle)
-            pending.extend(result.requests)
-            if not result.requests and not result.stalled:
-                break
+            pending.extend(core.run_requests(core.core_cycle))
             continue
-        request = pending.pop(0)
-        if request.is_write:
+        issue_cycle, address, is_write = pending.pop(0)
+        if is_write:
             continue
-        finish = request.issue_cycle + latency
-        if core.notify_completion(request.address, finish):
-            result = core.run(finish)
-            pending.extend(result.requests)
+        finish = issue_cycle + latency
+        if core.notify_completion(address, finish):
+            pending.extend(core.run_requests(finish))
     return core
 
 
@@ -340,30 +334,30 @@ class TestTraceCore:
         config = CoreConfig(mshr_entries=4)
         trace = simple_trace(100, bubbles=0)
         core = TraceCore(0, trace, config)
-        result = core.run(0)
-        reads = [r for r in result.requests if not r.is_write]
+        issued = core.run_requests(0)
+        reads = [address for _, address, is_write in issued if not is_write]
         assert len(reads) <= 4
-        assert result.stalled
+        assert not core.finished
 
     def test_cache_hits_do_not_reach_memory(self):
         trace = [TraceRecord(bubbles=5, address=0x40, is_write=False)
                  for _ in range(20)]
         core = TraceCore(0, trace)
-        result = core.run(0)
-        assert len(result.requests) == 1  # only the first access misses
+        issued = core.run_requests(0)
+        assert len(issued) == 1  # only the first access misses
         core.notify_completion(0x40, core.core_cycle + 100)
         assert core.finished
 
     def test_notify_for_unknown_address_is_ignored(self):
         core = TraceCore(0, simple_trace(5))
-        core.run(0)
+        core.run_requests(0)
         assert core.notify_completion(0xDEADBEEF000, 100) is False
 
     def test_writes_do_not_block_the_window(self):
         config = CoreConfig(mshr_entries=8, window_size=64)
         trace = simple_trace(30, bubbles=0, write_every=1)
         core = TraceCore(0, trace, config)
-        core.run(0)
+        core.run_requests(0)
         # All stores: the core only pauses when MSHRs run out, not because
         # the window is blocked by a load.
         assert core.stats.llc_miss_stores > 0

@@ -1,12 +1,13 @@
-"""Correctness tests for the turbo backend's compiled-plan cache (PR 9).
+"""Correctness tests for the trace core's compiled-plan cache.
 
-The turbo backend compiles each core's trace into prefix arrays once per
-run (:func:`repro.sim.turbo._compile_core_plan`) and memoizes the result
-in a process-wide LRU keyed by everything the compile pass depends on:
-the core's ``HierarchyConfig`` and the trace itself.  These tests pin the
+Each core compiles its trace into prefix arrays on its first run
+(:func:`repro.cpu.core._compile_core_plan`) and the result is memoized in
+a process-wide LRU keyed by everything the compile pass depends on: the
+core's ``HierarchyConfig`` and the trace itself.  Both backends step
+cores from the plan, so both share the cache.  These tests pin the
 cache's safety properties:
 
-* repeated runs reuse plans and stay bit-identical,
+* repeated runs reuse plans and stay bit-identical, on either backend,
 * configurations whose hierarchies differ never share a plan (while
   DRAM-side-only changes safely do — the plan is CPU-side by
   construction, and the golden/parity suites enforce the physics),
@@ -17,10 +18,10 @@ cache's safety properties:
 
 import pytest
 
+from repro.cpu import core as cpu_core
 from repro.cpu.core import CoreConfig
 from repro.cpu.hierarchy import HierarchyConfig
 from repro.experiments.engine import ExperimentScale, JobExecutor, SimJob
-from repro.sim import turbo
 from repro.sim.backend import BACKEND_ENV_VAR
 from repro.sim.config import make_system_config
 from repro.sim.system import run_workload
@@ -37,68 +38,71 @@ TINY = ExperimentScale.tiny()
 @pytest.fixture(autouse=True)
 def fresh_plan_cache():
     """The cache and its counters are process-global; isolate every test."""
-    turbo.clear_plan_cache()
+    cpu_core.clear_plan_cache()
     yield
-    turbo.clear_plan_cache()
+    cpu_core.clear_plan_cache()
 
 
 def _run(workload: str = "gcc", configuration: str = "Base",
-         records: int = RECORDS, core: CoreConfig | None = None) -> dict:
+         records: int = RECORDS, core: CoreConfig | None = None,
+         backend: str = "turbo") -> dict:
     config = make_system_config(configuration, channels=1,
-                                backend="turbo", core=core)
+                                backend=backend, core=core)
     traces = [get_benchmark(workload).make_trace(records)]
     return run_workload(config, traces, workload).to_dict()
 
 
+@pytest.mark.parametrize("backend", ("python", "turbo"))
 class TestPlanReuse:
-    def test_repeat_run_hits_the_cache_and_stays_bit_identical(self):
-        first = _run()
-        stats = turbo.plan_cache_stats()
+    def test_repeat_run_hits_the_cache_and_stays_bit_identical(self,
+                                                               backend):
+        first = _run(backend=backend)
+        stats = cpu_core.plan_cache_stats()
         assert stats["misses"] == 1
         assert stats["compiles"] == 1
         assert stats["hits"] == 0
         assert stats["size"] == 1
 
-        second = _run()
-        stats = turbo.plan_cache_stats()
+        second = _run(backend=backend)
+        stats = cpu_core.plan_cache_stats()
         assert stats["hits"] == 1
         assert stats["compiles"] == 1  # no recompilation
         assert second == first
 
-    def test_cache_hit_matches_the_reference_backend(self):
-        _run()  # populate
-        turbo_result = _run()  # served from the plan cache
-        assert turbo.plan_cache_stats()["hits"] == 1
-        config = make_system_config("Base", channels=1, backend="python")
-        traces = [get_benchmark("gcc").make_trace(RECORDS)]
-        reference = run_workload(config, traces, "gcc").to_dict()
-        assert turbo_result == reference
+    def test_cache_hit_matches_the_other_backend(self, backend):
+        other = "python" if backend == "turbo" else "turbo"
+        compiled = _run(backend=other)
+        served = _run(backend=backend)  # served from the plan cache
+        stats = cpu_core.plan_cache_stats()
+        assert (stats["compiles"], stats["hits"]) == (1, 1)
+        assert served == compiled
 
-    def test_distinct_traces_get_distinct_entries(self):
-        _run("gcc")
-        _run("mcf")
-        stats = turbo.plan_cache_stats()
+    def test_distinct_traces_get_distinct_entries(self, backend):
+        _run("gcc", backend=backend)
+        _run("mcf", backend=backend)
+        stats = cpu_core.plan_cache_stats()
         assert stats["size"] == 2
         assert stats["misses"] == 2
         assert stats["hits"] == 0
 
-    def test_multicore_run_compiles_once_per_core_then_reuses(self):
+    def test_multicore_run_compiles_once_per_core_then_reuses(self,
+                                                              backend):
         suite = {w.name: w for w in make_workload_suite(
             num_cores=TINY.num_cores,
             mixes_per_category=TINY.mixes_per_category)}
         mix = suite["mix-50pct-0"]
         config = make_system_config("Base",
                                     channels=TINY.multicore_channels,
-                                    backend="turbo")
+                                    backend=backend)
 
         run_workload(config, mix.make_traces(TINY.multicore_records),
                      mix.name)
-        stats = turbo.plan_cache_stats()
+        stats = cpu_core.plan_cache_stats()
         assert stats["compiles"] == TINY.num_cores
 
         run_workload(config, mix.make_traces(TINY.multicore_records),
                      mix.name)
-        stats = turbo.plan_cache_stats()
+        stats = cpu_core.plan_cache_stats()
         assert stats["compiles"] == TINY.num_cores  # all cores reused
         assert stats["hits"] == TINY.num_cores
 
@@ -107,7 +111,7 @@ class TestPlanKeying:
     def test_different_hierarchies_never_share_plans(self):
         _run()
         _run(core=CoreConfig(hierarchy=HierarchyConfig.paper_table1()))
-        stats = turbo.plan_cache_stats()
+        stats = cpu_core.plan_cache_stats()
         assert stats["size"] == 2
         assert stats["misses"] == 2
         assert stats["hits"] == 0
@@ -119,7 +123,7 @@ class TestPlanKeying:
         the goldens); only the CPU-side compile is shared."""
         base = _run(configuration="Base")
         fig = _run(configuration="FIGCache-Fast")
-        stats = turbo.plan_cache_stats()
+        stats = cpu_core.plan_cache_stats()
         assert stats["size"] == 1
         assert stats["hits"] == 1
         assert base != fig  # different physics, same plan
@@ -127,22 +131,22 @@ class TestPlanKeying:
 
 class TestEvictionBound:
     def test_lru_bound_is_respected(self, monkeypatch):
-        monkeypatch.setattr(turbo, "PLAN_CACHE_CAPACITY", 4)
+        monkeypatch.setattr(cpu_core, "PLAN_CACHE_CAPACITY", 4)
         distinct = 7
         for extra in range(distinct):
             _run(records=RECORDS + extra)  # distinct trace per run
-        stats = turbo.plan_cache_stats()
+        stats = cpu_core.plan_cache_stats()
         assert stats["size"] == 4
         assert stats["misses"] == distinct
         assert stats["evictions"] == distinct - 4
 
     def test_evicted_plan_recompiles_correctly(self, monkeypatch):
-        monkeypatch.setattr(turbo, "PLAN_CACHE_CAPACITY", 1)
+        monkeypatch.setattr(cpu_core, "PLAN_CACHE_CAPACITY", 1)
         first = _run("gcc")
         _run("mcf")  # evicts the gcc plan
-        assert turbo.plan_cache_stats()["evictions"] == 1
+        assert cpu_core.plan_cache_stats()["evictions"] == 1
         again = _run("gcc")  # recompiled, not stale
-        assert turbo.plan_cache_stats()["misses"] == 3
+        assert cpu_core.plan_cache_stats()["misses"] == 3
         assert again == first
 
 
@@ -160,11 +164,11 @@ class TestExecutorSharing:
         monkeypatch.setenv(BACKEND_ENV_VAR, "turbo")
         executor = JobExecutor(jobs=1)
         executor.run([SimJob.single_core("Base", "gcc", TINY)])
-        mid = turbo.plan_cache_stats()
+        mid = cpu_core.plan_cache_stats()
         assert mid["compiles"] == 1
 
         executor.run([SimJob.single_core("FIGCache-Fast", "gcc", TINY)])
-        after = turbo.plan_cache_stats()
+        after = cpu_core.plan_cache_stats()
         assert executor.simulations_executed == 2
         assert after["compiles"] == 1  # second batch reused the plan
         assert after["hits"] == mid["hits"] + 1
